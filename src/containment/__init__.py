@@ -33,7 +33,6 @@ from .dynamics import (
     ScenarioError,
     SwitchingSchedule,
     Trajectory,
-    active_topology,
     build_h,
     control,
     equilibrium,
@@ -57,7 +56,6 @@ from .graph import (
     components,
     is_bar_connected,
     laplacian,
-    leader_matrix,
     leaderless_components,
     link_weights,
     merge_links,
@@ -65,7 +63,6 @@ from .graph import (
 from .linalg import (
     NotPositiveDefiniteError,
     is_row_stochastic,
-    kron,
     solve_spd,
     sym_eigenvalues,
 )

@@ -13,14 +13,13 @@ grid so trajectories are bit-reproducible.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import LeaderSet, project_points
 from .graph import Topology, laplacian, link_weights
-from .linalg import solve_spd
+from .linalg import solve_spd, sym_eigenvalues
 
 GRID_REL_TOL = 1e-6
 
@@ -53,14 +52,6 @@ class SwitchingSchedule:
         return tuple(t for t, _ in self.entries)
 
 
-def active_topology(schedule: SwitchingSchedule, t: float) -> int:
-    """Topology id governing time t: the last entry with start time <= t."""
-    times = schedule.times
-    if t < times[0]:
-        raise ValueError(f"time {t} precedes the schedule start {times[0]}")
-    return schedule.entries[bisect.bisect_right(times, t) - 1][1]
-
-
 def _grid_steps(span: float, dt: float, what: str) -> int:
     r = span / dt
     steps = round(r)
@@ -75,7 +66,8 @@ class Scenario:
 
     ``topologies`` maps integer ids to Topology values; the schedule refers
     to those ids. Construction validates dimensional consistency, grid
-    alignment of every switching time, and a dwell of at least one step.
+    alignment of every switching time, a dwell of at least one step, and
+    RK4 stability of the step size on every scheduled topology.
     """
 
     m: int
@@ -140,6 +132,16 @@ class Scenario:
         for ta, tb in zip(times, times[1:]):
             if tb - ta < self.dt - 1e-9:
                 raise ScenarioError(f"dwell {tb - ta} is shorter than one step")
+        for pid in sorted({pid for _, pid in self.schedule.entries}):
+            lam_max = float(sym_eigenvalues(build_h(self.topology(pid)))[-1])
+            z = -self.dt * lam_max
+            # RK4 amplification |r(-dt*lambda)| <= 1 holds exactly for
+            # 0 <= dt*lambda <= 2.785, so lambda_max decides for every mode
+            if abs(1.0 + z + z * z / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0) > 1.0:
+                raise ScenarioError(
+                    f"dt={self.dt} is unstable for RK4 on topology {pid} "
+                    f"(dt * lambda_max = {-z:.4g}); use dt <= {2.5 / lam_max:.3g}"
+                )
 
     @property
     def n(self) -> int:

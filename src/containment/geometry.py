@@ -84,11 +84,14 @@ def project_points(points, leaders: LeaderSet):
     """Project each row of ``points`` onto the hull of the leader positions.
 
     Returns (closest (N, m), weights (N, k), sq_dist (N,)) where sq_dist is
-    half the squared Euclidean distance per point.
+    half the squared Euclidean distance per point. Raises ValueError on a
+    shape mismatch or a non-finite coordinate.
     """
     p = np.asarray(points, dtype=float)
     if p.ndim != 2 or p.shape[1] != leaders.m:
         raise ValueError(f"points shape {p.shape} does not match dimension {leaders.m}")
+    if not np.isfinite(p).all():
+        raise ValueError("points must be finite")
     n = p.shape[0]
     best_sq = np.full(n, np.inf)
     best_w = np.zeros((n, leaders.k))

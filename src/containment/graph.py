@@ -174,13 +174,6 @@ def link_weights(t: Topology) -> np.ndarray:
     return b
 
 
-def leader_matrix(t: Topology, q: int) -> np.ndarray:
-    """Diagonal matrix of link weights toward leader q (zero where unlinked)."""
-    if not 1 <= q <= t.leaders.k:
-        raise ValueError(f"leader index {q} out of range 1..{t.leaders.k}")
-    return np.diag(link_weights(t)[:, q - 1])
-
-
 def merge_links(a: LeaderLinks, b: LeaderLinks) -> LeaderLinks:
     """Union of two link sets; weights on shared (agent, leader) pairs add."""
     if (a.n, a.k) != (b.n, b.k):

@@ -1,10 +1,10 @@
 """Dense linear-algebra kernel for small symmetric systems.
 
-Everything operates on plain float64 numpy arrays at desk scale (n up to a
-few hundred). The symmetric eigensolver is a cyclic Jacobi iteration and the
-SPD solver a Cholesky factorization, so a failed factorization doubles as the
-"composite matrix is not positive definite" signal that flags a topology
-whose agent graph has a component with no leader link.
+Thin wrappers over LAPACK through ``numpy.linalg`` on float64 arrays, with
+the input checked to be square, finite and symmetric first. The SPD solver
+factors with Cholesky, so a failed factorization doubles as the "composite
+matrix is not positive definite" signal that flags a topology whose agent
+graph has a component with no leader link.
 """
 
 from __future__ import annotations
@@ -13,17 +13,13 @@ import numpy as np
 
 __all__ = [
     "NotPositiveDefiniteError",
-    "kron",
     "sym_eigenvalues",
-    "cholesky_spd",
     "solve_spd",
     "is_row_stochastic",
 ]
 
 PIVOT_TOL = 1e-12
-JACOBI_TOL = 1e-12
 SYMMETRY_TOL = 1e-9
-_MAX_SWEEPS = 100
 
 
 class NotPositiveDefiniteError(ArithmeticError):
@@ -42,103 +38,38 @@ def _as_square_symmetric(m, name: str = "matrix") -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices.
-
-    Result has shape (a.rows * b.rows, a.cols * b.cols); a 1x1 left factor
-    reduces to scalar multiplication.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("kron requires finite entries")
-    return np.kron(a, b)
-
-
 def sym_eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending.
 
-    Cyclic Jacobi rotations; iteration stops once the off-diagonal Frobenius
-    norm drops below 1e-12 times the Frobenius norm of the input. Raises
-    ValueError for non-square or asymmetric input.
+    Raises ValueError for non-square, non-finite or asymmetric input.
     """
-    a = _as_square_symmetric(m)
-    n = a.shape[0]
-    if n <= 1:
-        return a.reshape(-1).copy()
-    norm = float(np.sqrt((a * a).sum()))
-    if norm == 0.0:
-        return np.zeros(n)
-    thresh = JACOBI_TOL * norm
-    skip = thresh / n  # pairs below this cannot push off(A) above thresh
-    for _ in range(_MAX_SWEEPS):
-        off = float(np.sqrt(2.0 * (np.triu(a, 1) ** 2).sum()))
-        if off <= thresh:
-            return np.sort(np.diag(a).copy())
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                # rotation angle that zeroes a[p, q]
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-    raise ArithmeticError("Jacobi eigensolve did not converge")
-
-
-def cholesky_spd(h) -> np.ndarray:
-    """Lower-triangular Cholesky factor of a symmetric positive definite matrix.
-
-    A pivot at or below 1e-12 raises NotPositiveDefiniteError.
-    """
-    a = _as_square_symmetric(h)
-    n = a.shape[0]
-    lower = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - float(lower[j, :j] @ lower[j, :j])
-        if d <= PIVOT_TOL:
-            raise NotPositiveDefiniteError(
-                f"pivot {d:.3e} at index {j} (matrix is not positive definite)"
-            )
-        ljj = np.sqrt(d)
-        lower[j, j] = ljj
-        if j + 1 < n:
-            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / ljj
-    return lower
+    return np.linalg.eigvalsh(_as_square_symmetric(m))
 
 
 def solve_spd(h, rhs) -> np.ndarray:
     """Solve h @ x = rhs for symmetric positive definite h.
 
     Accepts a vector or matrix right-hand side and returns the same shape.
-    Raises NotPositiveDefiniteError when the factorization fails.
+    Raises NotPositiveDefiniteError when the Cholesky factorization fails or
+    a pivot (squared diagonal entry of the factor) is at or below 1e-12.
     """
-    lower = cholesky_spd(h)
-    n = lower.shape[0]
+    a = _as_square_symmetric(h)
+    try:
+        pivots = np.diag(np.linalg.cholesky(a)) ** 2
+    except np.linalg.LinAlgError as e:
+        raise NotPositiveDefiniteError("matrix is not positive definite") from e
+    low = np.flatnonzero(pivots <= PIVOT_TOL)
+    if low.size:
+        j = int(low[0])
+        raise NotPositiveDefiniteError(
+            f"pivot {pivots[j]:.3e} at index {j} (matrix is not positive definite)"
+        )
+    n = a.shape[0]
     b = np.asarray(rhs, dtype=float)
-    vector = b.ndim == 1
-    bb = b[:, None] if vector else b
-    if bb.ndim != 2 or bb.shape[0] != n:
+    if b.ndim not in (1, 2) or b.shape[0] != n:
         raise ValueError(f"rhs shape {b.shape} does not match matrix order {n}")
-    y = np.zeros_like(bb)
-    for i in range(n):
-        y[i] = (bb[i] - lower[i, :i] @ y[:i]) / lower[i, i]
-    x = np.zeros_like(bb)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - lower[i + 1 :, i] @ x[i + 1 :]) / lower[i, i]
-    return x[:, 0] if vector else x
+    # numpy has no triangular solve, so the factor only decides definiteness
+    return np.linalg.solve(a, b)
 
 
 def is_row_stochastic(m, tol: float) -> bool:

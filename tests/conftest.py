@@ -2,9 +2,10 @@
 
 These deliberately avoid the production code paths: the projection oracle
 parametrizes the sum-to-one constraint explicitly and solves with lstsq
-(production builds KKT systems and pseudo-inverts them), and the control
+(production builds KKT systems and pseudo-inverts them), the control
 oracle accumulates the neighbor sums agent by agent (production uses the
-assembled matrix form).
+assembled matrix form), and the eigenvalue oracle runs cyclic Jacobi
+rotations (production calls LAPACK through numpy.linalg.eigvalsh).
 """
 
 import itertools
@@ -59,3 +60,43 @@ def control_oracle(x, topo, leader_positions):
     for agent, q, w in topo.leaders.links:
         u[agent - 1] += w * (pos[q - 1] - pts[agent - 1])
     return u.ravel()
+
+
+def jacobi_eigenvalues(m, tol=1e-12, max_sweeps=100):
+    """Eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi rotations.
+
+    Sweeps stop once the off-diagonal Frobenius norm drops below tol times
+    the Frobenius norm of the input.
+    """
+    a = np.array(m, dtype=float)
+    n = a.shape[0]
+    norm = float(np.sqrt((a * a).sum()))
+    if n <= 1 or norm == 0.0:
+        return np.sort(np.diag(a).copy())
+    thresh = tol * norm
+    skip = thresh / n  # pairs below this cannot push off(A) above thresh
+    for _ in range(max_sweeps):
+        off = float(np.sqrt(2.0 * (np.triu(a, 1) ** 2).sum()))
+        if off <= thresh:
+            return np.sort(np.diag(a).copy())
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= skip:
+                    continue
+                # rotation angle that zeroes a[p, q]
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                rp, rq = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * rp - s * rq
+                a[q, :] = s * rp + c * rq
+                cp, cq = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * cp - s * cq
+                a[:, q] = s * cp + c * cq
+                a[p, q] = a[q, p] = 0.0
+    raise ArithmeticError("Jacobi eigensolve did not converge")

@@ -13,6 +13,19 @@ def example_file(tmp_path):
     return str(write_scenario(example_one("base"), tmp_path / "example.json"))
 
 
+@pytest.fixture()
+def unstable_file(tmp_path):
+    # example 1 with every weight scaled by 500: dt * lambda_max is about 20.7,
+    # far past RK4's stability limit of about 2.785 at dt = 0.01
+    doc = scenario_to_dict(example_one("base"))
+    for topo in doc["topologies"]:
+        for key in ("edges", "leader_links"):
+            topo[key] = [[i, j, 500.0 * w] for i, j, w in topo[key]]
+    path = tmp_path / "unstable.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestSimulate:
     def test_builtin_scenario(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"
@@ -49,6 +62,12 @@ class TestSimulate:
         # 50.0 is not a multiple of 0.007, so the scenario becomes invalid
         assert main(["simulate", "--scenario", example_file,
                      "--out", str(tmp_path / "t.csv"), "--dt", "0.007"]) == 3
+
+    def test_unstable_step_exits_3_without_output(self, unstable_file, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--scenario", unstable_file, "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "unstable" in capsys.readouterr().err
 
     def test_shorter_horizon_override(self, example_file, tmp_path):
         out = tmp_path / "t.csv"
@@ -124,6 +143,14 @@ class TestVerify:
     def test_default_scenarios(self, tmp_path):
         for check in ("lemma1", "lemma2", "theorem1", "row-stochastic", "leader-pull"):
             assert main(["verify", check, "--out", str(tmp_path)]) == 0
+
+    def test_unstable_step_exits_3_not_a_verdict(self, unstable_file, tmp_path, capsys):
+        # a diverging integration must not be reported as theorem 1 failing
+        assert main(["verify", "theorem1", "--scenario", unstable_file,
+                     "--out", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert "unstable" in captured.err
+        assert "containment" not in captured.out
 
     def test_check_flag_alias(self, tmp_path):
         assert main(["verify", "--check", "lemma1", "--out", str(tmp_path)]) == 0

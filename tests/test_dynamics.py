@@ -12,7 +12,6 @@ from containment.dynamics import (
     Scenario,
     ScenarioError,
     SwitchingSchedule,
-    active_topology,
     build_h,
     control,
     equilibrium,
@@ -117,31 +116,25 @@ class TestStep:
             step([1.0], SOLO, SOLO_LEADER, 0.0)
 
 
-class TestActiveTopology:
-    def test_constant(self):
-        sched = SwitchingSchedule(((0.0, 3),))
-        assert active_topology(sched, 0.0) == 3
-        assert active_topology(sched, 100.0) == 3
-
-    def test_left_closed_intervals(self):
-        sched = SwitchingSchedule(((0.0, 1), (5.0, 2)))
-        assert active_topology(sched, 4.999) == 1
-        assert active_topology(sched, 5.0) == 2
-
-    def test_before_start(self):
-        sched = SwitchingSchedule(((0.0, 1),))
-        with pytest.raises(ValueError):
-            active_topology(sched, -0.1)
+class TestScenarioValidation:
+    def test_empty_agent_set_rejected(self):
+        with pytest.raises(ScenarioError):
+            fixed(SOLO, np.zeros((0, 1)), SOLO_LEADER)
 
     def test_strictly_increasing_required(self):
         with pytest.raises(ScenarioError):
             SwitchingSchedule(((0.0, 1), (0.0, 2)))
 
+    def test_rk4_stability_boundary(self):
+        # SOLO has lambda = 1; RK4 is stable on the real axis up to dt ~ 2.785
+        fixed(SOLO, [[0.0]], SOLO_LEADER, dt=2.78, t_final=2.78)
+        with pytest.raises(ScenarioError, match="unstable"):
+            fixed(SOLO, [[0.0]], SOLO_LEADER, dt=2.79, t_final=2.79)
 
-class TestScenarioValidation:
-    def test_empty_agent_set_rejected(self):
-        with pytest.raises(ScenarioError):
-            fixed(SOLO, np.zeros((0, 1)), SOLO_LEADER)
+    def test_zero_mode_is_stable_at_any_dt(self):
+        # H = [[0]] has amplification exactly 1, which must not be rejected
+        alone = Topology(AgentGraph(1), LeaderLinks(1, 1))
+        fixed(alone, [[0.0]], SOLO_LEADER, dt=100.0, t_final=100.0)
 
     def test_misaligned_switch_time(self):
         topo = example_one_topology("base")

@@ -150,6 +150,17 @@ class TestDXi:
         with pytest.raises(ValueError):
             d_xi([1.0, 2.0, 3.0], TRIANGLE)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # a NaN agent once gave d_xi = inf and all-zero projection weights
+        leaders = LeaderSet(((0.0,), (1.0,)))
+        with pytest.raises(ValueError):
+            d_xi([bad, 0.5], leaders)
+        with pytest.raises(ValueError):
+            project([bad], leaders)
+        with pytest.raises(ValueError):
+            project_points([[0.5], [bad]], leaders)
+
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
     def test_zero_iff_every_agent_inside(self, seed):

@@ -11,7 +11,6 @@ from containment.graph import (
     components,
     is_bar_connected,
     laplacian,
-    leader_matrix,
     leaderless_components,
     link_weights,
     merge_links,
@@ -149,31 +148,6 @@ class TestBarConnectivity:
             assert is_bar_connected(grown)
 
 
-class TestLeaderMatrix:
-    def test_basic(self):
-        t = Topology(AgentGraph(2), LeaderLinks(2, 1, ((1, 1, 1.0),)))
-        np.testing.assert_array_equal(leader_matrix(t, 1), np.diag([1.0, 0.0]))
-
-    def test_unlinked_leader_is_zero(self):
-        t = Topology(AgentGraph(2), LeaderLinks(2, 2, ((1, 1, 1.0),)))
-        np.testing.assert_array_equal(leader_matrix(t, 2), np.zeros((2, 2)))
-
-    def test_weighted(self):
-        t = Topology(AgentGraph(2), LeaderLinks(2, 1, ((2, 1, 0.5),)))
-        np.testing.assert_array_equal(leader_matrix(t, 1), np.diag([0.0, 0.5]))
-
-    def test_out_of_range(self):
-        t = Topology(AgentGraph(2), LeaderLinks(2, 1, ()))
-        with pytest.raises(ValueError):
-            leader_matrix(t, 2)
-        with pytest.raises(ValueError):
-            leader_matrix(t, 0)
-
-    def test_link_weights_columns(self):
-        t = Topology(AgentGraph(2), LeaderLinks(2, 2, ((1, 1, 0.5), (2, 2, 2.0))))
-        np.testing.assert_array_equal(link_weights(t), [[0.5, 0.0], [0.0, 2.0]])
-
-
 class TestLeaderLinks:
     @pytest.mark.parametrize(
         "n, k, links",
@@ -187,6 +161,10 @@ class TestLeaderLinks:
     def test_rejects_invalid(self, n, k, links):
         with pytest.raises(ValueError):
             LeaderLinks(n, k, links)
+
+    def test_link_weights_columns(self):
+        t = Topology(AgentGraph(2), LeaderLinks(2, 2, ((1, 1, 0.5), (2, 2, 2.0))))
+        np.testing.assert_array_equal(link_weights(t), [[0.5, 0.0], [0.0, 2.0]])
 
     def test_merge_adds_weights(self):
         a = LeaderLinks(2, 2, ((1, 1, 1.0),))
