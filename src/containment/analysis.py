@@ -358,8 +358,11 @@ def leader_pull_monotonicity(base: Topology, extra: LeaderLinks,
 
 def _aggregate(name: str, reports: list[VerificationReport], tolerance: float,
                extremes: dict[str, float]) -> VerificationReport:
-    failures = sum(not r.passed for r in reports)
+    failed = [i for i, r in enumerate(reports) if not r.passed]
+    failures = len(failed)
     measured = [("trials", float(len(reports))), ("failures", float(failures))]
+    if failed:
+        measured.append(("first_failed_trial", float(failed[0])))
     measured.extend(sorted(extremes.items()))
     return VerificationReport(
         name=name,
@@ -374,8 +377,10 @@ def run_random_campaign(check: str, trials: int, seed: int) -> VerificationRepor
     """Run a seeded random campaign for one named check and aggregate it.
 
     Trials are generated from (seed, trial index) so campaigns reproduce
-    exactly. theorem1 alternates leader-connected and leaderless-component
-    instances; leader-pull stays in the two-leader regime where the
+    exactly; a failing campaign reports ``first_failed_trial``, whose instance
+    ``sampling.rng_for(seed, first_failed_trial)`` regenerates. theorem1
+    alternates leader-connected and leaderless-component instances;
+    leader-pull stays in the two-leader regime where the
     monotonicity is provable, since with three or more leaders it holds only
     instance by instance.
     """

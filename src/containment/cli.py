@@ -65,31 +65,24 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _load_scenario_arg(value: str) -> Scenario:
-    if value.startswith("builtin:"):
-        return builtin_scenario(value[len("builtin:"):])
-    return load_scenario(value)
+def _load_scenario_arg(value: str, **overrides) -> Scenario:
+    if not value.startswith("builtin:"):
+        return load_scenario(value, **overrides)
+    s = builtin_scenario(value[len("builtin:"):])
+    return dataclasses.replace(s, **overrides) if overrides else s
 
 
 def cmd_simulate(args) -> int:
+    overrides = {key: getattr(args, key) for key in ("dt", "t_final")
+                 if getattr(args, key) is not None}
     try:
-        s = _load_scenario_arg(args.scenario)
+        s = _load_scenario_arg(args.scenario, **overrides)
     except FileFormatError as e:
         return _fail(str(e), EXIT_USAGE)
     except ScenarioError as e:
         return _fail(str(e), EXIT_INVALID_SCENARIO)
     except ValueError as e:
         return _fail(str(e), EXIT_USAGE)
-    overrides = {}
-    if args.dt is not None:
-        overrides["dt"] = args.dt
-    if args.t_final is not None:
-        overrides["t_final"] = args.t_final
-    if overrides:
-        try:
-            s = dataclasses.replace(s, **overrides)
-        except ScenarioError as e:
-            return _fail(str(e), EXIT_INVALID_SCENARIO)
     traj = simulate(s)
     try:
         write_trajectory(traj, args.out)

@@ -51,14 +51,16 @@ def solve_spd(h, rhs) -> np.ndarray:
 
     Accepts a vector or matrix right-hand side and returns the same shape.
     Raises NotPositiveDefiniteError when the Cholesky factorization fails or
-    a pivot (squared diagonal entry of the factor) is at or below 1e-12.
+    a pivot (squared diagonal entry of the factor) is at or below
+    ``PIVOT_TOL * max|h|``; the floor is relative, so scaling h by any
+    positive factor leaves the decision unchanged.
     """
     a = _as_square_symmetric(h)
     try:
         pivots = np.diag(np.linalg.cholesky(a)) ** 2
     except np.linalg.LinAlgError as e:
         raise NotPositiveDefiniteError("matrix is not positive definite") from e
-    low = np.flatnonzero(pivots <= PIVOT_TOL)
+    low = np.flatnonzero(pivots <= PIVOT_TOL * np.abs(a).max(initial=0.0))
     if low.size:
         j = int(low[0])
         raise NotPositiveDefiniteError(

@@ -19,6 +19,7 @@ from .geometry import LeaderSet
 from .graph import AgentGraph, LeaderLinks, Topology
 
 _TOP_KEYS = ("m", "t0", "t_final", "dt", "agents", "leaders", "topologies", "schedule")
+_ROWS_PER_WRITE = 1024
 
 
 class FileFormatError(ValueError):
@@ -103,7 +104,9 @@ def _parse_weighted(items, where: str, arity_names: tuple[str, str]):
     return tuple(out)
 
 
-def scenario_from_dict(doc: dict, source: str = "<scenario>") -> Scenario:
+def scenario_from_dict(doc: dict, source: str = "<scenario>", **overrides) -> Scenario:
+    """Build a Scenario; keyword overrides (``dt=``, ``t_final=``) replace the
+    document's fields before the Scenario validates them."""
     doc = _as_dict(doc, source)
     _check_keys(doc, source, _TOP_KEYS, optional=("notes",))
     m = _as_int(doc["m"], f"{source}.m")
@@ -142,9 +145,7 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> Scenario:
     notes = doc.get("notes", "")
     if not isinstance(notes, str):
         _err(f"{source}.notes", "expected a string")
-    # structural validation happens in the Scenario constructor and raises
-    # ScenarioError, which callers treat as "invalid scenario", not "bad file"
-    return Scenario(
+    fields = dict(
         m=m,
         x_init=x_init,
         leaders=LeaderSet(leader_pos),
@@ -155,9 +156,12 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> Scenario:
         t0=_as_float(doc["t0"], f"{source}.t0"),
         notes=notes,
     )
+    # structural validation happens in the Scenario constructor and raises
+    # ScenarioError, which callers treat as "invalid scenario", not "bad file"
+    return Scenario(**(fields | overrides))
 
 
-def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
+def parse_scenario(text: str, source: str = "<scenario>", **overrides) -> Scenario:
     def reject_constant(name):
         _err(source, f"non-finite number {name} is not allowed")
 
@@ -165,16 +169,16 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         doc = json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as e:
         raise FileFormatError(f"{source}: line {e.lineno} column {e.colno}: {e.msg}") from None
-    return scenario_from_dict(doc, source)
+    return scenario_from_dict(doc, source, **overrides)
 
 
-def load_scenario(path) -> Scenario:
+def load_scenario(path, **overrides) -> Scenario:
     p = Path(path)
     try:
         text = p.read_text()
     except OSError as e:
         raise FileFormatError(f"{p}: {e.strerror or e}") from None
-    return parse_scenario(text, str(p))
+    return parse_scenario(text, str(p), **overrides)
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -183,13 +187,9 @@ def scenario_to_dict(s: Scenario) -> dict:
         "t0": s.t0,
         "t_final": s.t_final,
         "dt": s.dt,
-        "agents": [
-            {"id": i + 1, "position": [float(c) for c in s.x_init[i]]}
-            for i in range(s.n)
-        ],
+        "agents": [{"id": i, "position": pos} for i, pos in enumerate(s.x_init.tolist(), 1)],
         "leaders": [
-            {"id": q + 1, "position": [float(c) for c in s.leaders.positions[q]]}
-            for q in range(s.leaders.k)
+            {"id": q, "position": pos} for q, pos in enumerate(s.leaders.positions.tolist(), 1)
         ],
         "topologies": [
             {
@@ -213,8 +213,13 @@ def write_scenario(s: Scenario, path) -> Path:
     return p
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".9g")
+def _format_columns(values) -> list[list[str]]:
+    """Per-column lists of 9-significant-digit strings for a 2-D float array."""
+    return [[f"{v:.9g}" for v in col.tolist()] for col in np.asarray(values, dtype=float).T]
+
+
+def _plot_block(title: str, cols) -> str:
+    return "\n".join([title, *map(" ".join, zip(*cols))])
 
 
 def trajectory_header(n: int, m: int) -> list[str]:
@@ -230,14 +235,14 @@ def write_trajectory(traj: Trajectory, path) -> Path:
     """CSV table: t, per-agent coordinates, d_xi, active topology id."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(trajectory_header(traj.n, traj.m))]
-    for j in range(traj.times.shape[0]):
-        cells = [_fmt(traj.times[j])]
-        cells.extend(_fmt(v) for v in traj.states[j])
-        cells.append(_fmt(traj.d_xi[j]))
-        cells.append(str(int(traj.topologies[j])))
-        lines.append(",".join(cells))
-    p.write_text("\n".join(lines) + "\n")
+    table = np.column_stack([traj.times, traj.states, traj.d_xi])
+    topology = [str(int(v)) for v in traj.topologies.tolist()]
+    with p.open("w") as f:
+        f.write(",".join(trajectory_header(traj.n, traj.m)) + "\n")
+        for j in range(0, len(topology), _ROWS_PER_WRITE):  # bounds the live cell strings
+            rows = slice(j, j + _ROWS_PER_WRITE)
+            cols = [*_format_columns(table[rows]), topology[rows]]
+            f.writelines(",".join(cells) + "\n" for cells in zip(*cols))
     return p
 
 
@@ -295,28 +300,21 @@ def write_plot_data(traj: Trajectory, path, leaders: LeaderSet | None = None) ->
     """Gnuplot-ready blocks: per-agent time series, leader markers, and (for
     planar data) one overhead path block per agent. Blocks are separated by
     two blank lines so they are addressable with gnuplot's ``index``."""
+    if leaders is not None and leaders.m != traj.m:
+        raise ValueError("leader dimension does not match the trajectory")
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    blocks = []
-    for i in range(traj.n):
-        lines = [f"# agent {i + 1} time series: t coordinates"]
-        cols = traj.states[:, i * traj.m : (i + 1) * traj.m]
-        for j in range(traj.times.shape[0]):
-            lines.append(" ".join([_fmt(traj.times[j])] + [_fmt(v) for v in cols[j]]))
-        blocks.append("\n".join(lines))
+    (t,) = _format_columns(traj.times[:, None])
+    series, paths = [], []
+    for i in range(1, traj.n + 1):
+        cols = _format_columns(traj.states[:, (i - 1) * traj.m : i * traj.m])
+        series.append(_plot_block(f"# agent {i} time series: t coordinates", [t, *cols]))
+        if traj.m == 2:
+            paths.append(_plot_block(f"# agent {i} path: x y", cols))
     if leaders is not None:
-        if leaders.m != traj.m:
-            raise ValueError("leader dimension does not match the trajectory")
-        lines = ["# leaders: id coordinates"]
-        for q in range(leaders.k):
-            lines.append(" ".join([str(q + 1)] + [_fmt(v) for v in leaders.positions[q]]))
-        blocks.append("\n".join(lines))
-    if traj.m == 2:
-        for i in range(traj.n):
-            lines = [f"# agent {i + 1} path: x y"]
-            cols = traj.states[:, i * 2 : (i + 1) * 2]
-            for j in range(traj.times.shape[0]):
-                lines.append(f"{_fmt(cols[j, 0])} {_fmt(cols[j, 1])}")
-            blocks.append("\n".join(lines))
-    p.write_text("\n\n\n".join(blocks) + "\n")
+        ids = [str(q) for q in range(1, leaders.k + 1)]
+        series.append(_plot_block("# leaders: id coordinates",
+                                  [ids, *_format_columns(leaders.positions)]))
+    with p.open("w") as f:
+        print(*series, *paths, sep="\n\n\n", file=f)
     return p

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from containment import analysis, sampling
 from containment.analysis import (
     NotAllConnectedError,
     VerificationReport,
@@ -264,3 +266,22 @@ class TestCampaigns:
         a = run_random_campaign("row-stochastic", 5, seed=11)
         b = run_random_campaign("row-stochastic", 5, seed=11)
         assert a == b
+
+    def test_failing_campaign_names_first_failed_trial(self, monkeypatch):
+        graphs = []
+
+        def fails_on_trials_3_and_5(g):
+            graphs.append(g)
+            return dataclasses.replace(check_lemma1(g), passed=len(graphs) - 1 not in (3, 5))
+
+        monkeypatch.setattr(analysis, "check_lemma1", fails_on_trials_3_and_5)
+        rep = run_random_campaign("lemma1", 8, seed=3)
+        assert not rep.passed
+        assert rep.value("failures") == 2
+        assert rep.value("first_failed_trial") == 3
+        assert "first_failed_trial = 3" in rep.to_text()
+        assert sampling.random_graph(sampling.rng_for(3, 3)) == graphs[3]
+
+    def test_passing_campaign_has_no_failed_trial(self):
+        rep = run_random_campaign("lemma1", 8, seed=3)
+        assert [label for label, _ in rep.measured] == ["trials", "failures", "max_abs_lambda1"]

@@ -69,6 +69,16 @@ class TestSimulate:
         assert not out.exists()
         assert "unstable" in capsys.readouterr().err
 
+    def test_smaller_step_rescues_unstable_file(self, unstable_file, tmp_path):
+        # dt = 0.001 is below the suggested 0.00121, so the override must apply
+        # before the file's own dt = 0.01 is checked
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--scenario", unstable_file, "--out", str(out),
+                     "--dt", "0.001", "--t-final", "1"]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 1001
+        assert main(["simulate", "--scenario", unstable_file, "--out", str(out),
+                     "--t-final", "1"]) == 3
+
     def test_shorter_horizon_override(self, example_file, tmp_path):
         out = tmp_path / "t.csv"
         assert main(["simulate", "--scenario", example_file, "--out", str(out),

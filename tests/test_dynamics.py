@@ -223,6 +223,17 @@ class TestEquilibrium:
         with pytest.raises(NotPositiveDefiniteError):
             equilibrium(t, SOLO_LEADER)
 
+    def test_tiny_weights_keep_the_limit(self):
+        # an absolute pivot floor rejected this leader-connected topology
+        base = example_one_topology("base")
+        tiny = Topology(
+            AgentGraph(5, tuple((i, j, w * 1e-13) for i, j, w in base.graph.edges)),
+            LeaderLinks(5, 2, tuple((a, q, w * 1e-13) for a, q, w in base.leaders.links)),
+        )
+        leaders = LeaderSet(((1.0,), (2.0,)))
+        np.testing.assert_allclose(equilibrium(tiny, leaders)[0],
+                                   equilibrium(base, leaders)[0], rtol=0, atol=1e-12)
+
 
 class TestSimulate:
     def test_first_sample_is_initial_state(self):

@@ -88,15 +88,17 @@ class TestSolveSpd:
         assert resid <= 1e-9 * (1.0 + np.abs(rhs).max())
 
     def test_definite_iff_bar_connected(self):
-        # the numerical positive-definite decision must match the graph's
+        # the numerical positive-definite decision must match the graph's at
+        # any weight scale (H and B are linear in the weights)
         for trial in range(200):
             t = random_topology(rng_for(7, trial), linked=trial % 2 == 0)
-            try:
-                solve_spd(build_h(t), link_weights(t))
-                definite = True
-            except NotPositiveDefiniteError:
-                definite = False
-            assert definite == is_bar_connected(t), trial
+            for scale in (1.0, 1e-13, 1e13):
+                try:
+                    solve_spd(scale * build_h(t), scale * link_weights(t))
+                    definite = True
+                except NotPositiveDefiniteError:
+                    definite = False
+                assert definite == is_bar_connected(t), (trial, scale)
 
 
 class TestRowStochastic:

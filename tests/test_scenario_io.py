@@ -215,3 +215,59 @@ class TestPlotData:
         traj = simulate(dataclasses.replace(example_one("base"), t_final=0.2))
         with pytest.raises(ValueError):
             write_plot_data(traj, tmp_path / "p.dat", leaders=example_two().leaders)
+
+
+@pytest.fixture
+def tiny_planar_trajectory():
+    from containment.dynamics import Trajectory
+
+    return Trajectory(
+        times=np.array([0.0, 0.5, 1.0]),
+        states=np.array([
+            [-1.5, 1e-10, 3.0, 1234567890.123],
+            [0.1234567891234, -2.0, 7.0, -0.000123456789012],
+            [2.5, -1e-10, 12.0, 98765.4321],
+        ]),
+        topologies=np.array([1, 1, 2]),
+        d_xi=np.array([0.125, 1e-10, 0.0]),
+        n=2,
+        m=2,
+    )
+
+
+_TINY_SERIES = (
+    "# agent 1 time series: t coordinates\n"
+    "0 -1.5 1e-10\n0.5 0.123456789 -2\n1 2.5 -1e-10\n\n\n"
+    "# agent 2 time series: t coordinates\n"
+    "0 3 1.23456789e+09\n0.5 7 -0.000123456789\n1 12 98765.4321\n\n\n"
+)
+_TINY_PATHS = (
+    "# agent 1 path: x y\n"
+    "-1.5 1e-10\n0.123456789 -2\n2.5 -1e-10\n\n\n"
+    "# agent 2 path: x y\n"
+    "3 1.23456789e+09\n7 -0.000123456789\n12 98765.4321\n"
+)
+
+
+class TestWriterBytes:
+    def test_csv_text(self, tmp_path, tiny_planar_trajectory):
+        path = write_trajectory(tiny_planar_trajectory, tmp_path / "t.csv")
+        assert path.read_text() == (
+            "t,a1_1,a1_2,a2_1,a2_2,d_xi,topology\n"
+            "0,-1.5,1e-10,3,1.23456789e+09,0.125,1\n"
+            "0.5,0.123456789,-2,7,-0.000123456789,1e-10,1\n"
+            "1,2.5,-1e-10,12,98765.4321,0,2\n"
+        )
+
+    def test_plot_data_without_leaders(self, tmp_path, tiny_planar_trajectory):
+        path = write_plot_data(tiny_planar_trajectory, tmp_path / "p.dat")
+        assert path.read_text() == _TINY_SERIES + _TINY_PATHS
+
+    def test_plot_data_with_leaders(self, tmp_path, tiny_planar_trajectory):
+        leaders = LeaderSet([[3.14159265358979, -2.0], [0.0, 1e-10]])
+        path = write_plot_data(tiny_planar_trajectory, tmp_path / "p.dat", leaders=leaders)
+        assert path.read_text() == (
+            _TINY_SERIES
+            + "# leaders: id coordinates\n1 3.14159265 -2\n2 0 1e-10\n\n\n"
+            + _TINY_PATHS
+        )
