@@ -2,13 +2,18 @@
 half-squared-distance function used as the containment certificate.
 
 The projection is exact active-set by subset enumeration: for every nonempty
-subset of vertices, solve the least-squares problem for combination weights
-constrained to sum to one, keep candidates whose weights are all nonnegative
-(within -1e-12), and take the closest. Cost is 2^k per distinct leader set,
-which is fine for the enforced k <= 12 and makes degenerate vertex sets
-(coincident or collinear leaders) a non-issue: rank-deficient subsets get
-least-norm weights and the optimum is always attained on some affinely
-independent subset.
+subset of at most m+1 vertices, solve the least-squares problem for
+combination weights constrained to sum to one, keep candidates whose weights
+are all nonnegative (within -1e-12), and take the closest. Larger subsets are
+never needed (Caratheodory): if the closest point c lies in the relative
+interior of a face F, then x - c is orthogonal to aff(F), and c is a convex
+combination of some affinely independent S within the vertices of F with
+|S| <= m+1, so the solve on S returns c with nonnegative weights; larger
+subsets only add candidates that differ by rounding. Degenerate vertex sets
+(coincident or collinear leaders) need no special case: rank-deficient
+subsets get least-norm weights and such an S always attains the optimum.
+Cost is sum_{s <= min(k, m+1)} C(k, s) subsets per distinct leader set (793
+at k=12, m=3; all 2^k - 1 when k <= m+1), with k <= 12 enforced.
 
 Distances carry a 1/2 factor: sq_dist = 0.5 * ||x - closest||^2, so decay
 rates measured on trajectories compare directly against the contraction
@@ -39,7 +44,7 @@ class LeaderSet:
         if pos.shape[0] < 1 or pos.shape[1] < 1:
             raise ValueError("need at least one leader in at least one dimension")
         if pos.shape[0] > MAX_LEADERS:
-            raise ValueError(f"subset enumeration is 2^k; k <= {MAX_LEADERS} enforced")
+            raise ValueError(f"at most {MAX_LEADERS} leaders (subset enumeration)")
         if not np.isfinite(pos).all():
             raise ValueError("leader positions must be finite")
         pos.setflags(write=False)
@@ -65,10 +70,13 @@ class PolytopeProjection:
 
 @lru_cache(maxsize=64)
 def _subset_solvers(leaders: LeaderSet):
-    """Per-subset KKT pseudo-inverses for the sum-to-one least-squares systems."""
+    """Per-subset KKT pseudo-inverses for the sum-to-one least-squares systems,
+    over the subsets of at most m+1 leaders in increasing bitmask order."""
     v = leaders.positions
     solvers = []
     for mask in range(1, 2 ** leaders.k):
+        if mask.bit_count() > leaders.m + 1:
+            continue
         idx = np.array([q for q in range(leaders.k) if mask >> q & 1])
         vs = v[idx]
         s = len(idx)
@@ -109,13 +117,12 @@ def project_points(points, leaders: LeaderSet):
             continue
         closest = gamma.T @ vs
         sq = 0.5 * ((p - closest) ** 2).sum(axis=1)
-        better = feasible & (sq < best_sq)
-        if better.any():
-            best_sq[better] = sq[better]
-            best_c[better] = closest[better]
-            w_full = np.zeros((n, leaders.k))
-            w_full[:, idx] = gamma.T
-            best_w[better] = w_full[better]
+        rows = np.flatnonzero(feasible & (sq < best_sq))
+        if rows.size:
+            best_sq[rows] = sq[rows]
+            best_c[rows] = closest[rows]
+            best_w[rows] = 0.0
+            best_w[rows[:, None], idx] = gamma[:, rows].T
     np.maximum(best_w, 0.0, out=best_w)  # clamp -1e-12-level noise
     return best_c, best_w, best_sq
 

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from conftest import projection_oracle
 
 from containment.geometry import (
     LeaderSet,
+    _subset_solvers,
     collinearity_residual,
     d_xi,
     in_hull,
@@ -132,6 +135,71 @@ class TestProject:
         samples = gammas @ leaders.positions
         sampled_sq = 0.5 * ((samples - x) ** 2).sum(axis=1)
         assert sampled_sq.min() >= got - 1e-9
+
+
+def degenerate_leaders(family, k, m, rng):
+    """k >= m+2 leaders in R^m with a duplicated vertex, three collinear
+    vertices, or (m = 3) every vertex in one plane."""
+    pos = rng.uniform(-3.0, 3.0, size=(k, m))
+    if family == "duplicate":
+        pos[-1] = pos[0]
+    elif family == "collinear":
+        pos[2] = pos[0] + rng.uniform(0.0, 1.0) * (pos[1] - pos[0])
+    else:
+        pos[:, 2] = pos[:, :2] @ rng.uniform(-1.0, 1.0, size=2) + 0.5
+    return LeaderSet(pos)
+
+
+def assert_matches_oracle(x, leaders):
+    _, want_sq = projection_oracle(x, leaders.positions)
+    p = project(x, leaders)  # raises if its optimality certificate fails
+    assert abs(p.sq_dist - want_sq) <= 1e-8
+    # interior weights are not unique: pin only that they are a convex
+    # combination reproducing the closest point
+    assert p.weights.min() >= 0.0
+    assert abs(p.weights.sum() - 1.0) <= 1e-9
+    np.testing.assert_allclose(
+        p.weights @ leaders.positions, p.closest, rtol=0, atol=1e-9
+    )
+
+
+class TestSubsetBound:
+    """At most m+1 leaders per subset (Caratheodory) must not change answers."""
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle_up_to_twelve_leaders(self, seed):
+        x, leaders = random_projection_case(rng_for(seed), k_max=12)
+        assert_matches_oracle(x, leaders)
+
+    @pytest.mark.parametrize(
+        "family,m",
+        [("duplicate", 1), ("duplicate", 2), ("duplicate", 3),
+         ("collinear", 2), ("collinear", 3), ("planar", 3)],
+    )
+    @pytest.mark.parametrize("k_extra", [1, 5])
+    def test_degenerate_families_match_oracle(self, family, m, k_extra):
+        rng = rng_for(7, k_extra)
+        leaders = degenerate_leaders(family, m + 1 + k_extra, m, rng)
+        inside = rng.dirichlet(np.ones(leaders.k)) @ leaders.positions
+        for x in [inside, *rng.uniform(-5.0, 5.0, size=(4, m))]:
+            assert_matches_oracle(x, leaders)
+
+    @pytest.mark.parametrize(
+        "k,m,count",
+        [(12, 3, 793), (4, 1, 10), (12, 1, 78), (1, 1, 1), (3, 2, 7), (4, 3, 15),
+         (2, 3, 3)],
+    )
+    def test_subset_count(self, k, m, count):
+        leaders = LeaderSet(rng_for(k, m).uniform(-1.0, 1.0, size=(k, m)))
+        assert count == sum(comb(k, s) for s in range(1, min(k, m + 1) + 1))
+        assert len(_subset_solvers(leaders)) == count
+
+    @pytest.mark.parametrize("k,m", [(1, 1), (2, 1), (3, 2), (4, 3), (2, 3)])
+    def test_unpruned_subsets_in_mask_order(self, k, m):
+        leaders = LeaderSet(rng_for(k, m).uniform(-1.0, 1.0, size=(k, m)))
+        masks = [int((1 << idx).sum()) for idx, _, _ in _subset_solvers(leaders)]
+        assert masks == list(range(1, 2 ** k))
 
 
 class TestDXi:
