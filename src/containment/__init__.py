@@ -44,7 +44,6 @@ from .geometry import (
     PolytopeProjection,
     collinearity_residual,
     d_xi,
-    in_hull,
     project,
     project_points,
 )

@@ -1,4 +1,4 @@
-"""Convex hull of the leader positions: membership, exact projection, and the
+"""Convex hull of the leader positions: exact projection and the
 half-squared-distance function used as the containment certificate.
 
 The projection is exact active-set by subset enumeration: for every nonempty
@@ -164,13 +164,6 @@ def d_xi(x, leaders: LeaderSet) -> float:
     if xv.size == 0 or xv.size % leaders.m:
         raise ValueError(f"state length {xv.size} is not a multiple of m={leaders.m}")
     return float(project_points(xv.reshape(-1, leaders.m), leaders)[2].sum())
-
-
-def in_hull(x, leaders: LeaderSet, tol: float) -> bool:
-    """True iff x is within Euclidean distance tol of the hull."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    return project(x, leaders).sq_dist <= 0.5 * tol * tol
 
 
 def collinearity_residual(points) -> float:

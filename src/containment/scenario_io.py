@@ -89,18 +89,13 @@ def _parse_weighted(items, where: str, arity_names: tuple[str, str]):
     for idx, entry in enumerate(_as_list(items, where)):
         spot = f"{where}[{idx}]"
         entry = _as_list(entry, spot)
-        if len(entry) == 2:
-            a = _as_int(entry[0], f"{spot}[0]")
-            b = _as_int(entry[1], f"{spot}[1]")
-            out.append((a, b))
-        elif len(entry) == 3:
-            a = _as_int(entry[0], f"{spot}[0]")
-            b = _as_int(entry[1], f"{spot}[1]")
-            w = _as_float(entry[2], f"{spot}[2]")
-            out.append((a, b, w))
-        else:
+        if len(entry) not in (2, 3):
             _err(spot, f"expected [{arity_names[0]}, {arity_names[1]}] or "
                        f"[{arity_names[0]}, {arity_names[1]}, weight]")
+        parsed = (_as_int(entry[0], f"{spot}[0]"), _as_int(entry[1], f"{spot}[1]"))
+        if len(entry) == 3:
+            parsed += (_as_float(entry[2], f"{spot}[2]"),)
+        out.append(parsed)
     return tuple(out)
 
 
@@ -247,50 +242,45 @@ def write_trajectory(traj: Trajectory, path) -> Path:
 
 
 def read_trajectory(path) -> Trajectory:
+    """Parse a table written by ``write_trajectory``. Blank lines are skipped;
+    a row with the wrong number of cells is reported by its file line."""
     p = Path(path)
     try:
         text = p.read_text()
     except OSError as e:
         raise FileFormatError(f"{p}: {e.strerror or e}") from None
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2:
+    numbered = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if len(numbered) < 2:
         raise FileFormatError(f"{p}: needs a header and at least one sample row")
-    header = [c.strip() for c in lines[0].split(",")]
-    if header[0] != "t" or header[-2:] != ["d_xi", "topology"] or len(header) < 4:
-        raise FileFormatError(f"{p}: unexpected header {lines[0]!r}")
-    state_cols = header[1:-2]
-    n = m = 0
-    for name in state_cols:
-        parts = name.split("_")
-        if len(parts) != 2 or not parts[0].startswith("a"):
-            raise FileFormatError(f"{p}: unexpected state column {name!r}")
-        try:
-            i, d = int(parts[0][1:]), int(parts[1])
-        except ValueError:
-            raise FileFormatError(f"{p}: unexpected state column {name!r}") from None
-        n, m = max(n, i), max(m, d)
-    if state_cols != trajectory_header(n, m)[1:-2]:
-        raise FileFormatError(f"{p}: state columns are not in agent-major order")
-    times, states, topo, dvals = [], [], [], []
-    for row_no, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise FileFormatError(f"{p}: line {row_no}: expected {len(header)} cells")
-        try:
-            times.append(float(cells[0]))
-            states.append([float(c) for c in cells[1:-2]])
-            dvals.append(float(cells[-2]))
-            topo.append(int(cells[-1]))
-        except ValueError as e:
-            raise FileFormatError(f"{p}: line {row_no}: {e}") from None
-    t = np.array(times)
-    if (np.diff(t) <= 0).any():
-        raise FileFormatError(f"{p}: sample times must be strictly increasing")
+    (_, head), *rows = numbered
+    header = [c.strip() for c in head.split(",")]
+    try:  # n, m from the last state column, a{n}_{m}
+        n, m = map(int, header[-3].removeprefix("a").split("_"))
+        # the size test comes first so a bogus n, m cannot build a huge header
+        known = n * m == len(header) - 3 and header == trajectory_header(n, m)
+    except (IndexError, ValueError):
+        known = False
+    if not known:
+        raise FileFormatError(f"{p}: unexpected header {head!r}")
+    for no, line in rows:
+        if line.count(",") != len(header) - 1:
+            raise FileFormatError(f"{p}: line {no}: expected {len(header)} cells")
+    try:
+        # comments=None: a '#' inside a cell is a bad number, not a comment
+        table = np.loadtxt([ln for _, ln in rows], delimiter=",", comments=None, ndmin=2)
+    except ValueError as e:
+        raise FileFormatError(f"{p}: {e}") from None
+    t, topo = table[:, 0], table[:, -1]
+    if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
+        raise FileFormatError(f"{p}: sample times must be finite and strictly increasing")
+    # NaN and inf fail the range test, so the int cast below never warns
+    if not ((np.abs(topo) < 2.0**63) & (topo == np.trunc(topo))).all():
+        raise FileFormatError(f"{p}: topology ids must be integers")
     return Trajectory(
         times=t,
-        states=np.array(states),
-        topologies=np.array(topo, dtype=int),
-        d_xi=np.array(dvals),
+        states=table[:, 1:-2],
+        topologies=topo.astype(int),
+        d_xi=table[:, -2],
         n=n,
         m=m,
     )

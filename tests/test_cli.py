@@ -242,6 +242,13 @@ class TestPlotData:
               str(traj_path), "--t-final", "1.0"])
         assert main(["plotdata", str(traj_path), "--out", str(tmp_path / "p.dat")]) == 0
 
+    def test_paper_example_two_plot_is_reproduced(self, tmp_path):
+        assert main(["paper", "--example", "2", "--out", str(tmp_path)]) == 0
+        assert main(["plotdata", str(tmp_path / "example2.trajectory.csv"),
+                     "--out", str(tmp_path / "r.dat"),
+                     "--scenario", "builtin:example2"]) == 0
+        assert (tmp_path / "r.dat").read_bytes() == (tmp_path / "example2.plot.dat").read_bytes()
+
     def test_empty_trajectory_exits_2(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

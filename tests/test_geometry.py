@@ -12,7 +12,6 @@ from containment.geometry import (
     _subset_solvers,
     collinearity_residual,
     d_xi,
-    in_hull,
     project,
     project_points,
 )
@@ -236,28 +235,9 @@ class TestDXi:
         _, leaders = random_projection_case(rng)
         pts = rng.uniform(-4.0, 4.0, size=(3, leaders.m))
         val = d_xi(pts.ravel(), leaders)
-        inside = all(in_hull(p, leaders, 1e-9) for p in pts)
+        inside = all(project(p, leaders).sq_dist <= 0.5e-18 for p in pts)
         # 3 agents each within 1e-9 of the hull bound d_xi by 3 * 0.5e-18
         assert (val <= 1.5e-18) == inside
-
-
-class TestInHull:
-    def test_midpoint(self):
-        assert in_hull([1.5], SEGMENT, 1e-9)
-
-    def test_vertex(self):
-        assert in_hull([2.0], SEGMENT, 1e-9)
-
-    def test_far_point(self):
-        assert not in_hull([5.0], SEGMENT, 0.01)
-
-    def test_tolerance_band(self):
-        assert in_hull([2.05], SEGMENT, 0.1)
-        assert not in_hull([2.2], SEGMENT, 0.1)
-
-    def test_rejects_negative_tol(self):
-        with pytest.raises(ValueError):
-            in_hull([1.5], SEGMENT, -1.0)
 
 
 class TestBatch:

@@ -175,6 +175,37 @@ class TestTrajectoryFiles:
         with pytest.raises(FileFormatError, match="increasing"):
             read_trajectory(path)
 
+    def test_rejects_nan_time(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,a1_1,d_xi,topology\n0,1,0,1\nnan,1,0,1\n1,1,0,1\n")
+        with pytest.raises(FileFormatError, match="increasing"):
+            read_trajectory(path)
+
+    def test_error_names_file_line_after_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,a1_1,d_xi,topology\n\n0,1,0\n")
+        with pytest.raises(FileFormatError, match="line 3: expected 4 cells"):
+            read_trajectory(path)
+
+    @pytest.mark.parametrize("row, match", [
+        ("0,1,0,1.5", "topology"),
+        ("0,1,0,nan", "topology"),
+        ("0,1#,0,1", "'1#'"),
+    ])
+    def test_rejects_bad_cells(self, tmp_path, row, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t,a1_1,d_xi,topology\n{row}\n")
+        with pytest.raises(FileFormatError, match=match):
+            read_trajectory(path)
+
+    def test_reads_written_digits_exactly(self, tmp_path):
+        traj = simulate(example_two())
+        back = read_trajectory(write_trajectory(traj, tmp_path / "t.csv"))
+        for name in ("times", "states", "d_xi"):
+            written = np.vectorize(lambda v: float(f"{v:.9g}"))(getattr(traj, name))
+            assert getattr(back, name).tobytes() == written.tobytes(), name
+        np.testing.assert_array_equal(back.topologies, traj.topologies)
+
 
 class TestPlotData:
     def test_one_dimensional_blocks(self, tmp_path):
