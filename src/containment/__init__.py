@@ -37,7 +37,6 @@ from .dynamics import (
     control,
     equilibrium,
     simulate,
-    step,
 )
 from .geometry import (
     LeaderSet,

@@ -107,24 +107,32 @@ def write_report(report: VerificationReport, outdir) -> tuple[Path, Path]:
 
 
 def check_lemma1(g: AgentGraph) -> VerificationReport:
-    """Laplacian spectrum versus component structure."""
+    """Laplacian spectrum versus component structure.
+
+    An eigenvalue counts as zero when it is within ``SPECTRAL_TOL`` times
+    the spectral scale ||L|| (the largest eigenvalue), so the verdict does
+    not depend on the weight scale.
+    """
     lap = laplacian(g)
     eigs = sym_eigenvalues(lap)
     comps = components(g)
     row_sum = float(np.abs(lap.sum(axis=1)).max())
-    zero_mult = int((np.abs(eigs) <= SPECTRAL_TOL).sum())
+    scale = float(eigs[-1])
+    zero = SPECTRAL_TOL * scale
+    zero_mult = int((np.abs(eigs) <= zero).sum())
     connected = len(comps) == 1
     ok = (
-        abs(float(eigs[0])) <= SPECTRAL_TOL
+        abs(float(eigs[0])) <= zero
         and row_sum <= 1e-12
         and zero_mult == len(comps)
-        and (not connected or g.n < 2 or float(eigs[1]) > SPECTRAL_TOL)
+        and (not connected or g.n < 2 or float(eigs[1]) > zero)
     )
     measured = [
         ("lambda1", float(eigs[0])),
         ("max_abs_row_sum", row_sum),
         ("zero_multiplicity", float(zero_mult)),
         ("component_count", float(len(comps))),
+        ("spectral_scale", scale),
     ]
     if g.n >= 2:
         measured.insert(1, ("lambda2", float(eigs[1])))
@@ -139,10 +147,17 @@ def check_lemma1(g: AgentGraph) -> VerificationReport:
 
 
 def check_lemma2(t: Topology) -> VerificationReport:
-    """Composite matrix positive definite exactly when leader-connected."""
-    lam_min = float(sym_eigenvalues(build_h(t))[0])
+    """Composite matrix positive definite exactly when leader-connected.
+
+    lambda_min is compared with ``SPECTRAL_TOL`` times the spectral scale
+    ||H|| (the largest eigenvalue), so the verdict does not depend on the
+    weight scale.
+    """
+    eigs = sym_eigenvalues(build_h(t))
+    lam_min, scale = float(eigs[0]), float(eigs[-1])
     connected = is_bar_connected(t)
-    ok = lam_min > SPECTRAL_TOL if connected else lam_min <= SPECTRAL_TOL
+    zero = SPECTRAL_TOL * scale
+    ok = lam_min > zero if connected else lam_min <= zero
     return VerificationReport(
         name="lemma2",
         passed=bool(ok),
@@ -150,6 +165,7 @@ def check_lemma2(t: Topology) -> VerificationReport:
             ("lambda_min", lam_min),
             ("leader_connected", 1.0 if connected else 0.0),
             ("component_count", float(len(components(t.graph)))),
+            ("spectral_scale", scale),
         ),
         tolerance=SPECTRAL_TOL,
         narrative=(
@@ -188,14 +204,15 @@ def check_theorem1(s: Scenario) -> VerificationReport:
     """
     if len(s.schedule.entries) != 1:
         raise ValueError("fixed-topology check requires a single-entry schedule")
-    topo = s.topology(s.schedule.entries[0][1])
+    pid = s.schedule.entries[0][1]
+    topo = s.topology(pid)
     traj = simulate(s)
     final = traj.final_state
     d_final = float(traj.d_xi[-1])
     if is_bar_connected(topo):
         _, x_star = equilibrium(topo, s.leaders)
         dev = float(np.abs(final - x_star).max())
-        lam_min = float(sym_eigenvalues(build_h(topo))[0])
+        lam_min = float(s.spectra[pid][0][0])
         d_tol = 0.5e-6 * s.n
         ok = d_final <= d_tol and dev <= 1e-3
         return VerificationReport(
@@ -262,8 +279,7 @@ def check_theorem2(s: Scenario) -> VerificationReport:
     for pid, topo in s.topologies:
         if not is_bar_connected(topo):
             raise NotAllConnectedError(f"topology {pid} has a leaderless component")
-    scheduled = {pid for _, pid in s.schedule.entries}
-    lam1 = min(float(sym_eigenvalues(build_h(s.topology(pid)))[0]) for pid in scheduled)
+    lam1 = min(float(lam[0]) for lam, _ in s.spectra.values())
     traj = simulate(s)
     d = traj.d_xi
     d0 = float(d[0])

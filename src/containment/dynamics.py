@@ -9,19 +9,37 @@ so the closed-form equilibrium is available from one SPD solve per topology
 and long-horizon integration doubles as an independent check of it. The
 integrator is classical fixed-step RK4; switching times must sit on the step
 grid so trajectories are bit-reproducible.
+
+On a switching segment the flow is linear and time-invariant, so one RK4
+step is the matrix map x -> r(-dt H) x + dt p(-dt H) f with
+
+    r(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 = 1 + z p(z),
+    p(z) = 1 + z/2 + z^2/6 + z^3/24
+
+(Hairer & Wanner, Solving ODEs II, section IV.2). With H = V diag(lambda) V^T,
+taken once per scheduled topology when the Scenario is built, mode i of
+y = V^T x after j steps is exactly
+
+    y_j = r^j y_0 + dt p (r^j - 1) / (r - 1) g,    g = V^T f,
+
+or y_0 + j dt g where lambda_i = 0. ``simulate`` evaluates this recurrence in
+closed form instead of stepping: r > 0 on the whole real axis, so r^j is
+exp(j log1p(z p)) and r^j - 1 is expm1 of the same exponent, both free of
+the cancellation in r - 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import LeaderSet, project_points
 from .graph import Topology, laplacian, link_weights
-from .linalg import solve_spd, sym_eigenvalues
+from .linalg import solve_spd, sym_eigh
 
 GRID_REL_TOL = 1e-6
+_ROWS = 64  # sample rows per block of the closed-form segment tables
 
 
 class ScenarioError(ValueError):
@@ -68,6 +86,11 @@ class Scenario:
     to those ids. Construction validates dimensional consistency, grid
     alignment of every switching time, a dwell of at least one step, and
     RK4 stability of the step size on every scheduled topology.
+
+    ``spectra`` maps each scheduled topology id to the ascending eigenvalues
+    and orthonormal eigenvectors of its composite matrix ``build_h``,
+    computed once here for the stability check and read by ``simulate``
+    and the theorem checks.
     """
 
     m: int
@@ -79,6 +102,7 @@ class Scenario:
     t_final: float
     t0: float = 0.0
     notes: str = ""
+    spectra: dict[int, tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 1:
@@ -132,8 +156,14 @@ class Scenario:
         for ta, tb in zip(times, times[1:]):
             if tb - ta < self.dt - 1e-9:
                 raise ScenarioError(f"dwell {tb - ta} is shorter than one step")
+        spectra = {}
         for pid in sorted({pid for _, pid in self.schedule.entries}):
-            lam_max = float(sym_eigenvalues(build_h(self.topology(pid)))[-1])
+            spectra[pid] = sym_eigh(build_h(self.topology(pid)))
+            for a in spectra[pid]:
+                a.setflags(write=False)
+            # only lambda_max is tested: a leaderless block's zero eigenvalue
+            # can come out as -1e-17, whose |r| exceeds 1 by rounding
+            lam_max = float(spectra[pid][0][-1])
             z = -self.dt * lam_max
             # RK4 amplification |r(-dt*lambda)| <= 1 holds exactly for
             # 0 <= dt*lambda <= 2.785, so lambda_max decides for every mode
@@ -142,6 +172,7 @@ class Scenario:
                     f"dt={self.dt} is unstable for RK4 on topology {pid} "
                     f"(dt * lambda_max = {-z:.4g}); use dt <= {2.5 / lam_max:.3g}"
                 )
+        object.__setattr__(self, "spectra", spectra)
 
     @property
     def n(self) -> int:
@@ -224,39 +255,44 @@ def control(x, t: Topology, leaders: LeaderSet) -> np.ndarray:
     return (_forcing(t, leaders) - build_h(t) @ pts).ravel()
 
 
-def _rk4(pts: np.ndarray, h: np.ndarray, f: np.ndarray, dt: float) -> np.ndarray:
-    k1 = f - h @ pts
-    k2 = f - h @ (pts + 0.5 * dt * k1)
-    k3 = f - h @ (pts + 0.5 * dt * k2)
-    k4 = f - h @ (pts + dt * k3)
-    return pts + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-
-def step(x, topo: Topology, leaders: LeaderSet, dt: float) -> np.ndarray:
-    """One classical RK4 step of the closed-loop flow from stacked state x."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    _check_pair(topo, leaders)
-    pts = _as_points(x, topo.graph.n, leaders.m)
-    return _rk4(pts, build_h(topo), _forcing(topo, leaders), dt).ravel()
+def _segment(out: np.ndarray, lam: np.ndarray, v: np.ndarray, f: np.ndarray,
+             dt: float):
+    """Fill out[1:] with the RK4 iterates from out[0] of x' = f - H x, where
+    H = V diag(lam) V^T; rows of out are states flattened agent-major."""
+    n, m = f.shape
+    z = -dt * lam
+    p = 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0
+    zp = z * p  # r - 1 without the cancellation
+    log_r = np.log1p(zp)
+    moving = zp != 0.0
+    gain = dt * p / np.where(moving, zp, 1.0)
+    y0 = v.T @ out[0].reshape(n, m)
+    g = v.T @ f
+    for j0 in range(1, len(out), _ROWS):
+        j = np.arange(j0, min(j0 + _ROWS, len(out)), dtype=float)[:, None]
+        e = j * log_r
+        c = np.where(moving, gain * np.expm1(e), j * dt)
+        y = np.exp(e)[:, :, None] * y0 + c[:, :, None] * g
+        out[j0 : j0 + len(j)] = (v @ y).reshape(len(j), n * m)
 
 
 def simulate(s: Scenario) -> Trajectory:
     """Integrate the scenario and record state, active topology, and the
-    containment certificate at every grid time."""
+    containment certificate at every grid time.
+
+    Each switching segment is evaluated in closed form from the cached
+    spectrum of its topology and starts from the previous segment's last row.
+    """
     steps = s.step_count
-    mats = {pid: (build_h(t), _forcing(t, s.leaders)) for pid, t in s.topologies}
     switch_steps = [round((t - s.t0) / s.dt) for t in s.schedule.times]
-    entry_ids = np.array([pid for _, pid in s.schedule.entries])
+    entry_ids = [pid for _, pid in s.schedule.entries]
     seg = np.searchsorted(switch_steps, np.arange(steps + 1), side="right") - 1
-    active = entry_ids[seg]
+    active = np.array(entry_ids)[seg]
     states = np.empty((steps + 1, s.n * s.m))
-    pts = s.x_init.copy()
-    states[0] = pts.ravel()
-    for j in range(steps):
-        h, f = mats[int(active[j])]
-        pts = _rk4(pts, h, f, s.dt)
-        states[j + 1] = pts.ravel()
+    states[0] = s.x_init.ravel()
+    for a, b, pid in zip(switch_steps, switch_steps[1:] + [steps], entry_ids):
+        lam, v = s.spectra[pid]
+        _segment(states[a : b + 1], lam, v, _forcing(s.topology(pid), s.leaders), s.dt)
     times = s.t0 + s.dt * np.arange(steps + 1)
     sq = project_points(states.reshape(-1, s.m), s.leaders)[2]
     dvals = sq.reshape(steps + 1, s.n).sum(axis=1)

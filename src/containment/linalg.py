@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "NotPositiveDefiniteError",
     "sym_eigenvalues",
+    "sym_eigh",
     "solve_spd",
     "is_row_stochastic",
 ]
@@ -44,6 +45,16 @@ def sym_eigenvalues(m) -> np.ndarray:
     Raises ValueError for non-square, non-finite or asymmetric input.
     """
     return np.linalg.eigvalsh(_as_square_symmetric(m))
+
+
+def sym_eigh(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a symmetric matrix, ascending, and orthonormal
+    eigenvectors as the matching columns.
+
+    Raises ValueError for non-square, non-finite or asymmetric input.
+    """
+    lam, v = np.linalg.eigh(_as_square_symmetric(m))
+    return lam, v
 
 
 def solve_spd(h, rhs) -> np.ndarray:

@@ -241,9 +241,32 @@ def write_trajectory(traj: Trajectory, path) -> Path:
     return p
 
 
+def _reads(text: str) -> bool:
+    """True iff ``np.loadtxt`` reads text as comma-separated numbers."""
+    if not text:
+        return False  # loadtxt warns on empty input instead of raising
+    try:
+        np.loadtxt([text], delimiter=",", comments=None)
+    except ValueError:
+        return False
+    return True
+
+
+def _first_bad_cell(rows) -> str | None:
+    """Locate, by file line, the first cell of (line number, text) rows that
+    is not a number. Runs only after the one-call parse has failed."""
+    for no, line in rows:
+        if not _reads(line):
+            for cell in line.split(","):
+                if not _reads(cell):
+                    return f"line {no}: cell {cell!r} is not a number"
+    return None
+
+
 def read_trajectory(path) -> Trajectory:
     """Parse a table written by ``write_trajectory``. Blank lines are skipped;
-    a row with the wrong number of cells is reported by its file line."""
+    a row with the wrong number of cells, or a cell that is not a number, is
+    reported by its file line."""
     p = Path(path)
     try:
         text = p.read_text()
@@ -269,7 +292,7 @@ def read_trajectory(path) -> Trajectory:
         # comments=None: a '#' inside a cell is a bad number, not a comment
         table = np.loadtxt([ln for _, ln in rows], delimiter=",", comments=None, ndmin=2)
     except ValueError as e:
-        raise FileFormatError(f"{p}: {e}") from None
+        raise FileFormatError(f"{p}: {_first_bad_cell(rows) or e}") from None
     t, topo = table[:, 0], table[:, -1]
     if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
         raise FileFormatError(f"{p}: sample times must be finite and strictly increasing")

@@ -4,10 +4,13 @@ These deliberately avoid the production code paths: the projection oracle
 parametrizes the sum-to-one constraint explicitly and solves with lstsq
 (production builds KKT systems and pseudo-inverts them), the control
 oracle accumulates the neighbor sums agent by agent (production uses the
-assembled matrix form), and the eigenvalue oracle runs cyclic Jacobi
-rotations (production calls LAPACK through numpy.linalg.eigvalsh).
+assembled matrix form), the eigenvalue oracle runs cyclic Jacobi
+rotations (production calls LAPACK through numpy.linalg.eigvalsh), and the
+trajectory oracle steps RK4 in a loop (production evaluates the RK4
+recurrence in closed form per eigenmode).
 """
 
+import bisect
 import itertools
 
 import numpy as np
@@ -100,3 +103,31 @@ def jacobi_eigenvalues(m, tol=1e-12, max_sweeps=100):
                 a[:, q] = s * cp + c * cq
                 a[p, q] = a[q, p] = 0.0
     raise ArithmeticError("Jacobi eigensolve did not converge")
+
+
+def rk4_loop(s):
+    """States of ``simulate(s)`` by stepping classical RK4 one step at a time.
+
+    Each step applies the four stages of x' = f - H x with the topology
+    active at the step's start, in matrix form (production evaluates the
+    same recurrence in closed form from an eigendecomposition of H).
+    """
+    from containment.dynamics import build_h
+    from containment.graph import link_weights
+
+    mats = {pid: (build_h(t), link_weights(t) @ s.leaders.positions)
+            for pid, t in s.topologies}
+    switch_steps = [round((t - s.t0) / s.dt) for t in s.schedule.times]
+    ids = [pid for _, pid in s.schedule.entries]
+    dt = s.dt
+    pts = np.array(s.x_init, dtype=float)
+    states = [pts.ravel()]
+    for j in range(s.step_count):
+        h, f = mats[ids[bisect.bisect_right(switch_steps, j) - 1]]
+        k1 = f - h @ pts
+        k2 = f - h @ (pts + 0.5 * dt * k1)
+        k3 = f - h @ (pts + 0.5 * dt * k2)
+        k4 = f - h @ (pts + dt * k3)
+        pts = pts + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        states.append(pts.ravel())
+    return np.array(states)

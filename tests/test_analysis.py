@@ -76,6 +76,28 @@ class TestLemma2:
         assert rep.value("lambda_min") <= 1e-9
 
 
+def scaled_topology(t, c):
+    """The topology with every edge and leader-link weight multiplied by c."""
+    return Topology(
+        AgentGraph(t.graph.n, tuple((i, j, w * c) for i, j, w in t.graph.edges)),
+        LeaderLinks(t.leaders.n, t.leaders.k,
+                    tuple((a, q, w * c) for a, q, w in t.leaders.links)),
+    )
+
+
+class TestWeightScale:
+    # an absolute zero threshold failed lemma1 and lemma2 at 1e-10 (lambda_min
+    # = 2e-11) and lemma1 at 1e10 (lambda1 = -2e-7 is rounding at that scale)
+    @pytest.mark.parametrize("c", [1e-10, 1e10])
+    def test_lemma_verdicts_do_not_depend_on_weight_scale(self, c):
+        t = scaled_topology(example_one_topology("base"), c)
+        lemma1, lemma2 = check_lemma1(t.graph), check_lemma2(t)
+        assert lemma1.passed and lemma2.passed
+        assert lemma1.value("spectral_scale") == pytest.approx(
+            c * check_lemma1(example_one_topology("base").graph).value("spectral_scale"))
+        assert lemma2.value("leader_connected") == 1.0
+
+
 class TestTheorem1:
     def test_connected_builtin(self):
         rep = check_theorem1(example_one("base"))
@@ -285,3 +307,50 @@ class TestCampaigns:
     def test_passing_campaign_has_no_failed_trial(self):
         rep = run_random_campaign("lemma1", 8, seed=3)
         assert [label for label, _ in rep.measured] == ["trials", "failures", "max_abs_lambda1"]
+
+
+def count_eig_calls(monkeypatch) -> dict[str, int]:
+    """Count numpy.linalg.eigh and eigvalsh calls from now on."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestSpectrumReuse:
+    """Each scheduled topology's H is eigensolved once, when the Scenario is
+    built; simulate and the theorem checks reuse that decomposition."""
+
+    def test_large_swarm_style_certification(self, monkeypatch):
+        drawn = sampling.settle_scenario(sampling.rng_for(5), connected=True, n_max=30)
+        calls = count_eig_calls(monkeypatch)
+        s = dataclasses.replace(drawn)  # rebuilds, so construction is counted
+        assert calls == {"eigh": 1, "eigvalsh": 0}
+        topo = s.topology(1)
+        reports = (check_lemma1(topo.graph), check_lemma2(topo),
+                   check_row_stochastic(topo), check_theorem2(s), check_theorem1(s))
+        assert all(r.passed for r in reports)
+        # lemma1 solves L and lemma2 its own H; the theorems reuse the Scenario's
+        assert calls == {"eigh": 1, "eigvalsh": 2}
+
+    def test_switched_scenario_solves_each_scheduled_topology_once(self, monkeypatch):
+        drawn = sampling.random_switched_scenario(sampling.rng_for(3), n_topologies=4)
+        scheduled = {pid for _, pid in drawn.schedule.entries}
+        calls = count_eig_calls(monkeypatch)
+        s = dataclasses.replace(drawn)
+        assert calls == {"eigh": len(scheduled), "eigvalsh": 0}
+        assert check_theorem2(s).passed
+        assert calls == {"eigh": len(scheduled), "eigvalsh": 0}
+
+    def test_leaderless_theorem1_solves_nothing_more(self, monkeypatch):
+        drawn = sampling.settle_scenario(sampling.rng_for(4), connected=False)
+        calls = count_eig_calls(monkeypatch)
+        s = dataclasses.replace(drawn)
+        assert check_theorem1(s).passed
+        assert calls == {"eigh": 1, "eigvalsh": 0}

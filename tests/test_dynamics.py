@@ -5,10 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import control_oracle
+from conftest import control_oracle, rk4_loop
 
-from containment.builtin import example_one, example_one_topology, switched_demo
+from containment.builtin import (
+    BUILTIN_SCENARIOS,
+    builtin_scenario,
+    example_one,
+    example_one_topology,
+    switched_demo,
+)
 from containment.dynamics import (
+    _ROWS,
+    _segment,
     Scenario,
     ScenarioError,
     SwitchingSchedule,
@@ -16,12 +24,16 @@ from containment.dynamics import (
     control,
     equilibrium,
     simulate,
-    step,
 )
 from containment.geometry import LeaderSet
 from containment.graph import AgentGraph, LeaderLinks, Topology
 from containment.linalg import NotPositiveDefiniteError, is_row_stochastic, sym_eigenvalues
-from containment.sampling import random_connected_topology, rng_for, settle_scenario
+from containment.sampling import (
+    random_connected_topology,
+    random_switched_scenario,
+    rng_for,
+    settle_scenario,
+)
 
 SOLO = Topology(AgentGraph(1), LeaderLinks(1, 1, ((1, 1, 1.0),)))
 SOLO_LEADER = LeaderSet(((1.0,),))
@@ -90,30 +102,88 @@ class TestControl:
 class TestStep:
     def test_fixed_point(self):
         _, x_star = equilibrium(CHAIN2, SOLO_LEADER)
-        after = step(x_star.ravel(), CHAIN2, SOLO_LEADER, 0.1)
-        assert np.abs(after - x_star.ravel()).max() <= 1e-12
+        traj = simulate(fixed(CHAIN2, x_star, SOLO_LEADER, dt=0.1, t_final=0.1))
+        assert np.abs(traj.states[-1] - x_star.ravel()).max() <= 1e-12
 
     def test_scalar_against_exact_flow(self):
         # x(t) = 1 + 4 exp(-t) for the one-agent pull toward 1
-        after = step([5.0], SOLO, SOLO_LEADER, 0.1)
+        after = simulate(fixed(SOLO, [[5.0]], SOLO_LEADER, dt=0.1, t_final=0.1)).states[-1]
         assert after[0] == pytest.approx(1.0 + 4.0 * math.exp(-0.1), abs=1e-6)
 
     def test_fourth_order_error_decay(self):
         exact = 1.0 + 4.0 * math.exp(-0.4)
 
-        def integrate(dt, steps):
-            x = np.array([5.0])
-            for _ in range(steps):
-                x = step(x, SOLO, SOLO_LEADER, dt)
-            return x[0]
+        def integrate(dt):
+            s = fixed(SOLO, [[5.0]], SOLO_LEADER, dt=dt, t_final=0.4)
+            return simulate(s).states[-1, 0]
 
-        err_coarse = abs(integrate(0.1, 4) - exact)
-        err_fine = abs(integrate(0.05, 8) - exact)
+        err_coarse = abs(integrate(0.1) - exact)
+        err_fine = abs(integrate(0.05) - exact)
         assert 10.0 <= err_coarse / err_fine <= 25.0
 
-    def test_rejects_bad_dt(self):
-        with pytest.raises(ValueError):
-            step([1.0], SOLO, SOLO_LEADER, 0.0)
+
+def assert_matches_loop(s):
+    """simulate's closed form reproduces the step-by-step RK4 loop."""
+    want = rk4_loop(s)
+    got = simulate(s).states
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, float(np.abs(want).max()))
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_builtins_match_loop(self, name):
+        assert_matches_loop(builtin_scenario(name))
+
+    @given(seed=st.integers(0, 10**6), connected=st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_settle_scenarios_match_loop(self, seed, connected):
+        # leaderless draws put (numerically) zero eigenvalues of H on the schedule
+        assert_matches_loop(settle_scenario(rng_for(seed), connected=connected, n_max=8))
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=20, deadline=None)
+    def test_switched_scenarios_match_loop(self, seed):
+        assert_matches_loop(random_switched_scenario(rng_for(seed)))
+
+    @pytest.mark.parametrize("steps", [1, _ROWS, _ROWS + 1])
+    def test_segment_lengths_match_loop(self, steps):
+        x0 = [[5.0], [5.5], [6.0], [7.0], [6.5]]
+        leaders = LeaderSet(((1.0,), (2.0,)))
+        assert_matches_loop(fixed(example_one_topology("base"), x0, leaders,
+                                  dt=0.01, t_final=steps * 0.01))
+
+    def test_chained_segments_match_loop(self):
+        # segments of 1, _ROWS and _ROWS + 1 steps, each starting where the
+        # previous one ended
+        dt = 0.01
+        starts = (0, 1, 1 + _ROWS)
+        s = Scenario(
+            m=1,
+            x_init=[[5.0], [5.5], [6.0], [7.0], [6.5]],
+            leaders=LeaderSet(((1.0,), (2.0,))),
+            topologies=((1, example_one_topology("base")),
+                        (2, example_one_topology("relay-5"))),
+            schedule=SwitchingSchedule(tuple((a * dt, 1 + i % 2) for i, a in enumerate(starts))),
+            dt=dt,
+            t_final=(2 * _ROWS + 2) * dt,
+        )
+        assert_matches_loop(s)
+
+    def test_exact_zero_mode_holds_still(self):
+        # H = [[0]]: the lone agent has neither neighbors nor leader links
+        alone = Topology(AgentGraph(1), LeaderLinks(1, 1))
+        s = fixed(alone, [[3.0]], SOLO_LEADER, dt=0.5, t_final=50.0)
+        assert s.spectra[1][0][0] == 0.0
+        np.testing.assert_array_equal(simulate(s).states, 3.0)
+
+    def test_zero_mode_recurrence_is_linear_in_steps(self):
+        # RK4 on x' = g with H = 0 gives x_j = x_0 + j dt g, the zp -> 0 limit
+        out = np.empty((_ROWS + 2, 1))
+        out[0] = 3.0
+        _segment(out, np.zeros(1), np.eye(1), np.array([[0.5]]), 0.25)
+        np.testing.assert_allclose(out[:, 0], 3.0 + 0.125 * np.arange(_ROWS + 2),
+                                   rtol=0, atol=1e-12)
 
 
 class TestScenarioValidation:
@@ -124,6 +194,11 @@ class TestScenarioValidation:
     def test_strictly_increasing_required(self):
         with pytest.raises(ScenarioError):
             SwitchingSchedule(((0.0, 1), (0.0, 2)))
+
+    def test_rejects_non_positive_dt(self):
+        for dt in (0.0, -0.01, math.nan, math.inf):
+            with pytest.raises(ScenarioError, match="dt must be positive"):
+                fixed(SOLO, [[0.0]], SOLO_LEADER, dt=dt)
 
     def test_rk4_stability_boundary(self):
         # SOLO has lambda = 1; RK4 is stable on the real axis up to dt ~ 2.785

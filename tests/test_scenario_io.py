@@ -187,6 +187,12 @@ class TestTrajectoryFiles:
         with pytest.raises(FileFormatError, match="line 3: expected 4 cells"):
             read_trajectory(path)
 
+    def test_bad_number_names_file_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,a1_1,d_xi,topology\n\n0,x,0,1\n")
+        with pytest.raises(FileFormatError, match="line 3: cell 'x' is not a number"):
+            read_trajectory(path)
+
     @pytest.mark.parametrize("row, match", [
         ("0,1,0,1.5", "topology"),
         ("0,1,0,nan", "topology"),
