@@ -153,7 +153,7 @@ def check_lemma2(t: Topology) -> VerificationReport:
     ||H|| (the largest eigenvalue), so the verdict does not depend on the
     weight scale.
     """
-    eigs = sym_eigenvalues(build_h(t))
+    eigs = t.spectrum[0]
     lam_min, scale = float(eigs[0]), float(eigs[-1])
     connected = is_bar_connected(t)
     zero = SPECTRAL_TOL * scale
@@ -212,7 +212,7 @@ def check_theorem1(s: Scenario) -> VerificationReport:
     if is_bar_connected(topo):
         _, x_star = equilibrium(topo, s.leaders)
         dev = float(np.abs(final - x_star).max())
-        lam_min = float(s.spectra[pid][0][0])
+        lam_min = float(topo.spectrum[0][0])
         d_tol = 0.5e-6 * s.n
         ok = d_final <= d_tol and dev <= 1e-3
         return VerificationReport(
@@ -279,7 +279,8 @@ def check_theorem2(s: Scenario) -> VerificationReport:
     for pid, topo in s.topologies:
         if not is_bar_connected(topo):
             raise NotAllConnectedError(f"topology {pid} has a leaderless component")
-    lam1 = min(float(lam[0]) for lam, _ in s.spectra.values())
+    scheduled = {pid for _, pid in s.schedule.entries}
+    lam1 = min(float(s.topology(pid).spectrum[0][0]) for pid in scheduled)
     traj = simulate(s)
     d = traj.d_xi
     d0 = float(d[0])

@@ -6,9 +6,10 @@ leaders it senses. Stacked over agents the flow is linear,
     x' = -(H (x) I_m) x + forcing,    H = L + sum_q diag(b^q),
 
 so the closed-form equilibrium is available from one SPD solve per topology
-and long-horizon integration doubles as an independent check of it. The
-integrator is classical fixed-step RK4; switching times must sit on the step
-grid so trajectories are bit-reproducible.
+and long-horizon integration doubles as an independent check of it. H is
+``graph.build_h``, re-exported here. The integrator is classical fixed-step
+RK4; switching times must sit on the step grid so trajectories are
+bit-reproducible.
 
 On a switching segment the flow is linear and time-invariant, so one RK4
 step is the matrix map x -> r(-dt H) x + dt p(-dt H) f with
@@ -16,9 +17,9 @@ step is the matrix map x -> r(-dt H) x + dt p(-dt H) f with
     r(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 = 1 + z p(z),
     p(z) = 1 + z/2 + z^2/6 + z^3/24
 
-(Hairer & Wanner, Solving ODEs II, section IV.2). With H = V diag(lambda) V^T,
-taken once per scheduled topology when the Scenario is built, mode i of
-y = V^T x after j steps is exactly
+(Hairer & Wanner, Solving ODEs II, section IV.2). With H = V diag(lambda) V^T
+from ``Topology.spectrum``, computed once per topology, mode i of y = V^T x
+after j steps is exactly
 
     y_j = r^j y_0 + dt p (r^j - 1) / (r - 1) g,    g = V^T f,
 
@@ -30,13 +31,13 @@ the cancellation in r - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import LeaderSet, project_points
-from .graph import Topology, laplacian, link_weights
-from .linalg import solve_spd, sym_eigh
+from .graph import Topology, build_h, link_weights
+from .linalg import solve_spd
 
 GRID_REL_TOL = 1e-6
 _ROWS = 64  # sample rows per block of the closed-form segment tables
@@ -85,12 +86,9 @@ class Scenario:
     ``topologies`` maps integer ids to Topology values; the schedule refers
     to those ids. Construction validates dimensional consistency, grid
     alignment of every switching time, a dwell of at least one step, and
-    RK4 stability of the step size on every scheduled topology.
-
-    ``spectra`` maps each scheduled topology id to the ascending eigenvalues
-    and orthonormal eigenvectors of its composite matrix ``build_h``,
-    computed once here for the stability check and read by ``simulate``
-    and the theorem checks.
+    RK4 stability of the step size on every scheduled topology, which
+    reads lambda_max from ``Topology.spectrum``; ``simulate`` and the
+    theorem checks read the same cached decomposition.
     """
 
     m: int
@@ -102,7 +100,6 @@ class Scenario:
     t_final: float
     t0: float = 0.0
     notes: str = ""
-    spectra: dict[int, tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 1:
@@ -156,14 +153,10 @@ class Scenario:
         for ta, tb in zip(times, times[1:]):
             if tb - ta < self.dt - 1e-9:
                 raise ScenarioError(f"dwell {tb - ta} is shorter than one step")
-        spectra = {}
         for pid in sorted({pid for _, pid in self.schedule.entries}):
-            spectra[pid] = sym_eigh(build_h(self.topology(pid)))
-            for a in spectra[pid]:
-                a.setflags(write=False)
             # only lambda_max is tested: a leaderless block's zero eigenvalue
             # can come out as -1e-17, whose |r| exceeds 1 by rounding
-            lam_max = float(spectra[pid][0][-1])
+            lam_max = float(self.topology(pid).spectrum[0][-1])
             z = -self.dt * lam_max
             # RK4 amplification |r(-dt*lambda)| <= 1 holds exactly for
             # 0 <= dt*lambda <= 2.785, so lambda_max decides for every mode
@@ -172,15 +165,10 @@ class Scenario:
                     f"dt={self.dt} is unstable for RK4 on topology {pid} "
                     f"(dt * lambda_max = {-z:.4g}); use dt <= {2.5 / lam_max:.3g}"
                 )
-        object.__setattr__(self, "spectra", spectra)
 
     @property
     def n(self) -> int:
         return self.x_init.shape[0]
-
-    @property
-    def topology_ids(self) -> tuple[int, ...]:
-        return tuple(pid for pid, _ in self.topologies)
 
     def topology(self, pid: int) -> Topology:
         for known, t in self.topologies:
@@ -219,14 +207,6 @@ class Trajectory:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1].reshape(self.n, self.m)
-
-    def points(self, index: int) -> np.ndarray:
-        return self.states[index].reshape(self.n, self.m)
-
-
-def build_h(t: Topology) -> np.ndarray:
-    """Composite feedback matrix: Laplacian plus total link weight per agent."""
-    return laplacian(t.graph) + np.diag(link_weights(t).sum(axis=1))
 
 
 def _forcing(t: Topology, leaders: LeaderSet) -> np.ndarray:
@@ -291,7 +271,7 @@ def simulate(s: Scenario) -> Trajectory:
     states = np.empty((steps + 1, s.n * s.m))
     states[0] = s.x_init.ravel()
     for a, b, pid in zip(switch_steps, switch_steps[1:] + [steps], entry_ids):
-        lam, v = s.spectra[pid]
+        lam, v = s.topology(pid).spectrum
         _segment(states[a : b + 1], lam, v, _forcing(s.topology(pid), s.leaders), s.dt)
     times = s.t0 + s.dt * np.arange(steps + 1)
     sq = project_points(states.reshape(-1, s.m), s.leaders)[2]

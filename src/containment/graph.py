@@ -5,13 +5,19 @@ representations are materialized on demand as dense numpy arrays. A topology
 is "leader-connected" when every component of the agent graph contains at
 least one agent with a direct link to some leader, i.e. the graph augmented
 with a single virtual node standing for all leaders is connected.
+
+A topology's composite matrix ``build_h`` is eigensolved once, on first
+read of ``Topology.spectrum``; every spectral consumer reads that one result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .linalg import sym_eigh
 
 
 def _canonical_edges(n: int, edges) -> tuple[tuple[int, int, float], ...]:
@@ -111,6 +117,15 @@ class Topology:
                 f"graph has {self.graph.n} agents but links are for {self.leaders.n}"
             )
 
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues of ``build_h(self)`` and orthonormal
+        eigenvectors as the matching columns, both read-only."""
+        lam, v = sym_eigh(build_h(self))
+        lam.setflags(write=False)
+        v.setflags(write=False)
+        return lam, v
+
 
 def adjacency(g: AgentGraph) -> np.ndarray:
     """Symmetric weighted adjacency matrix with zero diagonal."""
@@ -172,6 +187,11 @@ def link_weights(t: Topology) -> np.ndarray:
     for agent, leader, w in t.leaders.links:
         b[agent - 1, leader - 1] = w
     return b
+
+
+def build_h(t: Topology) -> np.ndarray:
+    """Composite feedback matrix: Laplacian plus total link weight per agent."""
+    return laplacian(t.graph) + np.diag(link_weights(t).sum(axis=1))
 
 
 def merge_links(a: LeaderLinks, b: LeaderLinks) -> LeaderLinks:

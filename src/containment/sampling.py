@@ -11,10 +11,9 @@ import math
 
 import numpy as np
 
-from .dynamics import Scenario, SwitchingSchedule, build_h
+from .dynamics import Scenario, SwitchingSchedule
 from .geometry import LeaderSet
-from .graph import AgentGraph, LeaderLinks, Topology, components, laplacian
-from .linalg import sym_eigenvalues
+from .graph import AgentGraph, LeaderLinks, Topology, components, leaderless_components
 
 WEIGHT_RANGE = (0.5, 2.0)
 
@@ -71,18 +70,24 @@ def _random_links(rng, g: AgentGraph, k: int, link_prob: float = 0.3):
     return links
 
 
-def random_connected_topology(rng, n_max: int = 12, k_max: int = 4,
-                              k: int | None = None) -> Topology:
-    """Connected agent graph with at least one leader link."""
-    n = int(rng.integers(2, n_max + 1))
-    if k is None:
-        k = int(rng.integers(1, k_max + 1))
+def _connected_topology(rng, n: int, k: int) -> Topology:
+    """Connected graph on n agents, random links to k leaders, and one forced
+    link when none was drawn."""
     g = random_connected_graph(rng, n)
     links = _random_links(rng, g, k)
     if not links:
         links[(int(rng.integers(1, n + 1)), int(rng.integers(1, k + 1)))] = _weight(rng)
     link_tuple = tuple((i, q, w) for (i, q), w in sorted(links.items()))
     return Topology(g, LeaderLinks(n, k, link_tuple))
+
+
+def random_connected_topology(rng, n_max: int = 12, k_max: int = 4,
+                              k: int | None = None) -> Topology:
+    """Connected agent graph with at least one leader link."""
+    n = int(rng.integers(2, n_max + 1))
+    if k is None:
+        k = int(rng.integers(1, k_max + 1))
+    return _connected_topology(rng, n, k)
 
 
 def random_topology(rng, linked: bool, n_max: int = 12, k_max: int = 4,
@@ -117,11 +122,21 @@ def random_leader_set(rng, k: int, m: int, box=(0.0, 2.0)) -> LeaderSet:
     return LeaderSet(rng.uniform(box[0], box[1], size=(k, m)))
 
 
-def _integration_grid(rates: list[float], lam_max: float, span_factor: float = 20.0):
+def _settle_rate(topo: Topology) -> float:
+    """Slowest nonzero mode of the composite matrix, 1.0 if every mode is zero.
+
+    Each leaderless component adds exactly one zero eigenvalue, so the
+    slowest rate is the first eigenvalue past that many.
+    """
+    eig = topo.spectrum[0]
+    zeros = len(leaderless_components(topo))
+    return float(eig[zeros]) if zeros < len(eig) else 1.0
+
+
+def _integration_grid(topo: Topology, span_factor: float = 20.0):
     """Step size stable for RK4 and a horizon long enough to settle."""
-    dt = min(0.05, 0.5 / max(lam_max, 1e-9))
-    slowest = min(rates) if rates else 1.0
-    steps = max(1, math.ceil(span_factor / (slowest * dt)))
+    dt = min(0.05, 0.5 / max(float(topo.spectrum[0][-1]), 1e-9))
+    steps = max(1, math.ceil(span_factor / (_settle_rate(topo) * dt)))
     return dt, steps
 
 
@@ -141,25 +156,11 @@ def settle_scenario(rng, connected: bool = True, n_max: int = 12, k_max: int = 4
         x_init = rng.uniform(-2.0, 8.0, size=(topo.graph.n, m))
     else:
         topo = random_topology(rng, linked=False, n_max=n_max, k=k)
-        n = topo.graph.n
-        linked_agents = topo.leaders.linked_agents
-        x_init = rng.uniform(0.0, 4.0, size=(n, m))
-        for comp in components(topo.graph):
-            if not any(i in linked_agents for i in comp):
-                for i in comp:
-                    x_init[i - 1] = rng.uniform(3.5, 9.0, size=m)
-    h = build_h(topo)
-    eig = sym_eigenvalues(h)
-    rates = []
-    linked_agents = topo.leaders.linked_agents
-    for comp in components(topo.graph):
-        sub = [i - 1 for i in comp]
-        if any(i in linked_agents for i in comp):
-            rates.append(float(sym_eigenvalues(h[np.ix_(sub, sub)])[0]))
-        elif len(comp) > 1:
-            lap = laplacian(topo.graph)[np.ix_(sub, sub)]
-            rates.append(float(sym_eigenvalues(lap)[1]))
-    dt, steps = _integration_grid(rates, float(eig[-1]))
+        x_init = rng.uniform(0.0, 4.0, size=(topo.graph.n, m))
+        for comp in leaderless_components(topo):
+            for i in comp:
+                x_init[i - 1] = rng.uniform(3.5, 9.0, size=m)
+    dt, steps = _integration_grid(topo)
     return Scenario(
         m=m,
         x_init=x_init,
@@ -178,16 +179,8 @@ def random_switched_scenario(rng, n_topologies: int = 3, m_max: int = 3,
     k = int(rng.integers(1, 4))
     n = int(rng.integers(2, 9))
     leaders = random_leader_set(rng, k, m)
-    topos = []
-    lam_max = 0.0
-    for pid in range(1, n_topologies + 1):
-        g = random_connected_graph(rng, n)
-        links = _random_links(rng, g, k)
-        if not links:
-            links[(int(rng.integers(1, n + 1)), int(rng.integers(1, k + 1)))] = _weight(rng)
-        topo = Topology(g, LeaderLinks(n, k, tuple((i, q, w) for (i, q), w in sorted(links.items()))))
-        lam_max = max(lam_max, float(sym_eigenvalues(build_h(topo))[-1]))
-        topos.append((pid, topo))
+    topos = [(pid, _connected_topology(rng, n, k)) for pid in range(1, n_topologies + 1)]
+    lam_max = max(float(t.spectrum[0][-1]) for _, t in topos)
     dt = min(0.02, 0.5 / max(lam_max, 1e-9))
     dwell = dwell_steps * dt
     entries = tuple(

@@ -25,7 +25,7 @@ from containment.builtin import (
     necessity_demo,
     switched_demo,
 )
-from containment.dynamics import Scenario, SwitchingSchedule
+from containment.dynamics import Scenario, SwitchingSchedule, equilibrium
 from containment.geometry import LeaderSet
 from containment.graph import AgentGraph, LeaderLinks, Topology
 
@@ -324,33 +324,38 @@ def count_eig_calls(monkeypatch) -> dict[str, int]:
 
 
 class TestSpectrumReuse:
-    """Each scheduled topology's H is eigensolved once, when the Scenario is
-    built; simulate and the theorem checks reuse that decomposition."""
+    """Each Topology's H is eigensolved once, on first read of its spectrum;
+    the samplers, Scenario, simulate and the spectral checks all read that
+    one decomposition. Counting starts before the draw."""
 
     def test_large_swarm_style_certification(self, monkeypatch):
         drawn = sampling.settle_scenario(sampling.rng_for(5), connected=True, n_max=30)
         calls = count_eig_calls(monkeypatch)
-        s = dataclasses.replace(drawn)  # rebuilds, so construction is counted
+        topo = Topology(drawn.topology(1).graph, drawn.topology(1).leaders)  # nothing cached
+        s = dataclasses.replace(drawn, topologies=((1, topo),))
         assert calls == {"eigh": 1, "eigvalsh": 0}
-        topo = s.topology(1)
         reports = (check_lemma1(topo.graph), check_lemma2(topo),
-                   check_row_stochastic(topo), check_theorem2(s), check_theorem1(s))
+                   check_row_stochastic(topo), check_theorem2(s))
+        equilibrium(topo, s.leaders)
         assert all(r.passed for r in reports)
-        # lemma1 solves L and lemma2 its own H; the theorems reuse the Scenario's
-        assert calls == {"eigh": 1, "eigvalsh": 2}
+        # lemma1 solves L; everything else reads topo.spectrum or solves H w = B
+        assert calls == {"eigh": 1, "eigvalsh": 1}
 
     def test_switched_scenario_solves_each_scheduled_topology_once(self, monkeypatch):
-        drawn = sampling.random_switched_scenario(sampling.rng_for(3), n_topologies=4)
-        scheduled = {pid for _, pid in drawn.schedule.entries}
         calls = count_eig_calls(monkeypatch)
-        s = dataclasses.replace(drawn)
-        assert calls == {"eigh": len(scheduled), "eigvalsh": 0}
-        assert check_theorem2(s).passed
-        assert calls == {"eigh": len(scheduled), "eigvalsh": 0}
+        s = sampling.random_switched_scenario(sampling.rng_for(3), n_topologies=4)
+        assert calls == {"eigh": 4, "eigvalsh": 0}  # the draw's dt needs every lambda_max
+        assert check_theorem2(dataclasses.replace(s)).passed
+        assert calls == {"eigh": 4, "eigvalsh": 0}
 
     def test_leaderless_theorem1_solves_nothing_more(self, monkeypatch):
-        drawn = sampling.settle_scenario(sampling.rng_for(4), connected=False)
         calls = count_eig_calls(monkeypatch)
-        s = dataclasses.replace(drawn)
-        assert check_theorem1(s).passed
+        s = sampling.settle_scenario(sampling.rng_for(4), connected=False)
+        assert check_theorem1(dataclasses.replace(s)).passed
+        assert calls == {"eigh": 1, "eigvalsh": 0}
+
+    def test_connected_theorem1_solves_once(self, monkeypatch):
+        calls = count_eig_calls(monkeypatch)
+        s = sampling.settle_scenario(sampling.rng_for(4), connected=True)
+        assert check_theorem1(dataclasses.replace(s)).passed
         assert calls == {"eigh": 1, "eigvalsh": 0}

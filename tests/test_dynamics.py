@@ -174,7 +174,7 @@ class TestClosedForm:
         # H = [[0]]: the lone agent has neither neighbors nor leader links
         alone = Topology(AgentGraph(1), LeaderLinks(1, 1))
         s = fixed(alone, [[3.0]], SOLO_LEADER, dt=0.5, t_final=50.0)
-        assert s.spectra[1][0][0] == 0.0
+        assert s.topology(1).spectrum[0][0] == 0.0
         np.testing.assert_array_equal(simulate(s).states, 3.0)
 
     def test_zero_mode_recurrence_is_linear_in_steps(self):

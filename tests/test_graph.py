@@ -8,6 +8,7 @@ from containment.graph import (
     LeaderLinks,
     Topology,
     adjacency,
+    build_h,
     components,
     is_bar_connected,
     laplacian,
@@ -179,3 +180,27 @@ class TestLeaderLinks:
     def test_topology_size_mismatch(self):
         with pytest.raises(ValueError):
             Topology(AgentGraph(2), LeaderLinks(3, 1))
+
+
+class TestSpectrum:
+    def test_matches_composite_matrix(self):
+        t = Topology(path(3), LeaderLinks(3, 1, ((1, 1, 1.0),)))
+        lam, v = t.spectrum
+        np.testing.assert_allclose(v @ np.diag(lam) @ v.T, build_h(t), atol=1e-12)
+        assert t.spectrum is t.spectrum  # solved once, on first read
+
+    def test_read_spectrum_keeps_value_semantics(self):
+        read = Topology(path(3), LeaderLinks(3, 2, ((1, 1, 1.0), (3, 2, 0.5))))
+        before = repr(read)
+        read.spectrum
+        fresh = Topology(path(3), LeaderLinks(3, 2, ((1, 1, 1.0), (3, 2, 0.5))))
+        assert read == fresh and fresh == read
+        assert hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh) == before
+
+    def test_arrays_reject_writes(self):
+        lam, v = Topology(path(2), LeaderLinks(2, 1, ((2, 1, 1.0),))).spectrum
+        with pytest.raises(ValueError):
+            lam[0] = 0.0
+        with pytest.raises(ValueError):
+            v[0, 0] = 0.0

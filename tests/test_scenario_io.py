@@ -23,11 +23,7 @@ def assert_scenarios_equal(a, b):
     assert (a.t0, a.t_final, a.dt) == (b.t0, b.t_final, b.dt)
     np.testing.assert_array_equal(a.x_init, b.x_init)
     np.testing.assert_array_equal(a.leaders.positions, b.leaders.positions)
-    assert a.topology_ids == b.topology_ids
-    for pid in a.topology_ids:
-        ta, tb = a.topology(pid), b.topology(pid)
-        assert ta.graph == tb.graph
-        assert ta.leaders == tb.leaders
+    assert a.topologies == b.topologies
     assert a.schedule.entries == b.schedule.entries
     assert a.notes == b.notes
 
