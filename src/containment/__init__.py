@@ -12,6 +12,7 @@ from .analysis import (
     check_lemma1,
     check_lemma2,
     check_row_stochastic,
+    check_scenario,
     check_theorem1,
     check_theorem2,
     decay_envelope,
@@ -60,7 +61,6 @@ from .graph import (
 )
 from .linalg import (
     NotPositiveDefiniteError,
-    is_row_stochastic,
     solve_spd,
     sym_eigenvalues,
 )

@@ -28,6 +28,9 @@ Check catalog:
 * leader-pull     - adding links toward one leader moves the equilibrium mean
                     distance to that leader down (asserted per instance, not
                     as a universal law).
+
+Only this module maps check names to ``check_*`` functions: by
+``check_scenario`` on one scenario, by ``run_random_campaign`` on random ones.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from . import sampling
-from .dynamics import Scenario, Trajectory, build_h, equilibrium, simulate
-from .geometry import LeaderSet, project_points
+from .dynamics import Scenario, build_h, equilibrium, simulate
+from .geometry import LeaderSet, d_xi
 from .graph import (
     AgentGraph,
     LeaderLinks,
@@ -52,7 +55,7 @@ from .graph import (
     link_weights,
     merge_links,
 )
-from .linalg import is_row_stochastic, solve_spd, sym_eigenvalues
+from .linalg import solve_spd, sym_eigenvalues
 
 SPECTRAL_TOL = 1e-9
 
@@ -177,21 +180,16 @@ def check_lemma2(t: Topology) -> VerificationReport:
 
 
 def _disconnected_prediction(t: Topology, x_init: np.ndarray, leaders: LeaderSet):
-    """Limit of the leaderless blocks: per-component means of initial states."""
-    strays = leaderless_components(t)
+    """Limit of the leaderless blocks, of which t has at least one: the
+    per-component means of the initial states."""
     agents: list[int] = []
     targets: list[np.ndarray] = []
-    for comp in strays:
+    for comp in leaderless_components(t):
         idx = [i - 1 for i in comp]
-        mean = x_init[idx].mean(axis=0)
-        for i in idx:
-            agents.append(i)
-            targets.append(mean)
-    if not agents:
-        return [], np.zeros((0, leaders.m)), 0.0
+        agents.extend(idx)
+        targets.extend([x_init[idx].mean(axis=0)] * len(idx))
     target_arr = np.array(targets)
-    sq = project_points(target_arr, leaders)[2]
-    return agents, target_arr, float(sq.sum())
+    return agents, target_arr, d_xi(target_arr, leaders)
 
 
 def check_theorem1(s: Scenario) -> VerificationReport:
@@ -229,7 +227,7 @@ def check_theorem1(s: Scenario) -> VerificationReport:
             narrative="containment reached and the final state matches the equilibrium",
         )
     agents, targets, d_pred = _disconnected_prediction(topo, s.x_init, s.leaders)
-    stray_dev = float(np.abs(final[agents] - targets).max()) if agents else 0.0
+    stray_dev = float(np.abs(final[agents] - targets).max())
     floor = 0.5 * d_pred
     generic = d_pred > SPECTRAL_TOL
     if generic:
@@ -314,13 +312,13 @@ def check_theorem2(s: Scenario) -> VerificationReport:
 
 def check_row_stochastic(t: Topology) -> VerificationReport:
     """Equilibrium weights are a row-stochastic map from leaders to agents."""
-    h = build_h(t)
-    w = solve_spd(h, link_weights(t))
-    h_inv = solve_spd(h, np.eye(t.graph.n))
+    n = t.graph.n
+    solved = solve_spd(build_h(t), np.hstack([link_weights(t), np.eye(n)]))
+    w, h_inv = solved[:, :-n], solved[:, -n:]
     min_w = float(w.min())
     row_err = float(np.abs(w.sum(axis=1) - 1.0).max())
     min_inv = float(h_inv.min())
-    ok = is_row_stochastic(w, SPECTRAL_TOL) and min_inv >= -SPECTRAL_TOL
+    ok = min_w >= -SPECTRAL_TOL and row_err <= SPECTRAL_TOL and min_inv >= -SPECTRAL_TOL
     return VerificationReport(
         name="row-stochastic",
         passed=bool(ok),
@@ -371,6 +369,43 @@ def leader_pull_monotonicity(base: Topology, extra: LeaderLinks,
         narrative=f"mean equilibrium distance to leader {q} does not increase "
         "when links toward it are added",
     )
+
+
+def _combine(name: str, parts: list[tuple[int, VerificationReport]]) -> VerificationReport:
+    if len(parts) == 1:
+        return parts[0][1]
+    measured = []
+    for pid, rep in parts:
+        measured.extend((f"topology{pid}_{label}", v) for label, v in rep.measured)
+    return VerificationReport(
+        name=name,
+        passed=all(r.passed for _, r in parts),
+        measured=tuple(measured),
+        tolerance=parts[0][1].tolerance,
+        narrative=f"{len(parts)} topologies checked",
+    )
+
+
+def check_scenario(check: str, s: Scenario) -> VerificationReport:
+    """Run one named check on a scenario.
+
+    theorem1 and theorem2 run on the whole scenario; lemma1, lemma2 and
+    row-stochastic on each topology, combined under ``topology<id>_`` labels
+    when there are several. Raises ValueError for leader-pull and unknown names.
+    """
+    if check == "theorem1":
+        return check_theorem1(s)
+    if check == "theorem2":
+        return check_theorem2(s)
+    if check == "lemma1":
+        parts = [(pid, check_lemma1(t.graph)) for pid, t in s.topologies]
+    elif check == "lemma2":
+        parts = [(pid, check_lemma2(t)) for pid, t in s.topologies]
+    elif check == "row-stochastic":
+        parts = [(pid, check_row_stochastic(t)) for pid, t in s.topologies]
+    else:
+        raise ValueError(f"check {check!r} does not run on a scenario")
+    return _combine(check, parts)
 
 
 def _aggregate(name: str, reports: list[VerificationReport], tolerance: float,

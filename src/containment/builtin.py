@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .dynamics import Scenario, SwitchingSchedule
 from .geometry import LeaderSet
-from .graph import AgentGraph, LeaderLinks, Topology
+from .graph import AgentGraph, LeaderLinks, Topology, merge_links
 
 EXAMPLE_ONE_VARIANTS = ("base", "more-links", "isolated-2", "relay-5")
 
@@ -29,15 +29,18 @@ _CHAIN_5 = ((1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0))
 _X_INIT_1 = ((5.0,), (5.5,), (6.0,), (7.0,), (6.5,))
 _LEADERS_1 = ((1.0,), (2.0,))
 
+# the links toward leader 1 that turn the base variant into more-links
+EXAMPLE_ONE_PULL_LINKS = LeaderLinks(5, 2, ((2, 1, 1.0), (3, 1, 1.0), (4, 1, 1.0)))
+
 
 def example_one_topology(variant: str = "base") -> Topology:
     """One-dimensional five-agent topology for the requested variant."""
+    if variant == "more-links":
+        base = example_one_topology("base")
+        return Topology(base.graph, merge_links(base.leaders, EXAMPLE_ONE_PULL_LINKS))
     if variant == "base":
         edges = _CHAIN_5
         links = ((1, 1, 1.0), (3, 2, 1.0))
-    elif variant == "more-links":
-        edges = _CHAIN_5
-        links = ((1, 1, 1.0), (2, 1, 1.0), (3, 1, 1.0), (3, 2, 1.0), (4, 1, 1.0))
     elif variant == "isolated-2":
         # agent 2 loses every neighbor and instead senses leader 1 directly
         edges = ((3, 4, 1.0), (4, 5, 1.0))

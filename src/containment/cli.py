@@ -8,7 +8,8 @@ Subcommands:
   and plot-data files and prints the qualitative claim the variant exercises.
 * ``verify``   - run one named check (lemma1, lemma2, theorem1, theorem2,
   row-stochastic, leader-pull) on a scenario or as a seeded random campaign;
-  writes one report per check as .txt and .json.
+  writes one report per check as .txt and .json. ``analysis`` decides how
+  each check runs; this module only picks the default scenario per name.
 * ``plotdata`` - convert a trajectory CSV into gnuplot-ready blocks.
 
 Exit codes: 0 success/verified, 1 a verification check failed, 2 usage or
@@ -31,19 +32,14 @@ from .analysis import (
     CHECK_NAMES,
     NotAllConnectedError,
     VerificationReport,
-    check_lemma1,
-    check_lemma2,
-    check_row_stochastic,
-    check_theorem1,
-    check_theorem2,
+    check_scenario,
     leader_pull_monotonicity,
     run_random_campaign,
     write_report,
 )
-from .builtin import EXAMPLE_ONE_VARIANTS, builtin_scenario, example_one_topology
+from .builtin import EXAMPLE_ONE_PULL_LINKS, EXAMPLE_ONE_VARIANTS, builtin_scenario
 from .dynamics import Scenario, ScenarioError, equilibrium, simulate
-from .geometry import LeaderSet, collinearity_residual, project_points
-from .graph import LeaderLinks
+from .geometry import collinearity_residual, project_points
 from .linalg import NotPositiveDefiniteError
 from .scenario_io import (
     FileFormatError,
@@ -97,6 +93,12 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _leader_pull() -> VerificationReport:
+    """Example 1's leader-pull claim: base versus base plus the more-links links."""
+    base = builtin_scenario("example1-base")
+    return leader_pull_monotonicity(base.topology(1), EXAMPLE_ONE_PULL_LINKS, base.leaders)
+
+
 def _paper_summary(stem: str, s: Scenario, traj) -> None:
     final = traj.final_state
     leaders = s.leaders
@@ -105,13 +107,11 @@ def _paper_summary(stem: str, s: Scenario, traj) -> None:
         print(f"final positions: {np.array2string(final.ravel(), precision=6)}")
     elif stem == "example1-more-links":
         print("claim: more links toward leader 1 pull the group closer to leader 1")
-        _, x_base = equilibrium(example_one_topology("base"), leaders)
-        _, x_var = equilibrium(example_one_topology("more-links"), leaders)
-        goal = leaders.positions[0]
-        base_mean = float(np.sqrt(((x_base - goal) ** 2).sum(axis=1)).mean())
-        var_mean = float(np.sqrt(((x_var - goal) ** 2).sum(axis=1)).mean())
-        print(f"mean equilibrium distance to leader 1: base {base_mean:.6g}, "
-              f"this variant {var_mean:.6g} (smaller by {base_mean - var_mean:.6g})")
+        rep = _leader_pull()
+        print(f"mean equilibrium distance to leader 1: "
+              f"base {rep.value('base_mean_distance'):.6g}, "
+              f"this variant {rep.value('augmented_mean_distance'):.6g} "
+              f"(smaller by {rep.value('decrease'):.6g})")
     elif stem == "example1-isolated-2":
         print("claim: agent 2, cut off from all agents but linked to leader 1, "
               "still reaches leader 1's locality")
@@ -121,7 +121,7 @@ def _paper_summary(stem: str, s: Scenario, traj) -> None:
     elif stem == "example1-relay-5":
         print("claim: once agents 2 and 4 sense agent 5, agent 5 also moves "
               "toward leader 1")
-        _, x_base = equilibrium(example_one_topology("base"), leaders)
+        _, x_base = equilibrium(builtin_scenario("example1-base").topology(1), leaders)
         base5 = float(abs(x_base[4, 0] - leaders.positions[0, 0]))
         var5 = float(abs(final[4, 0] - leaders.positions[0, 0]))
         print(f"agent 5 distance to leader 1: base equilibrium {base5:.6g}, "
@@ -170,28 +170,10 @@ _VERIFY_DEFAULT_SCENARIO = {
 }
 
 
-def _combine(name: str, parts: list[tuple[int, VerificationReport]]) -> VerificationReport:
-    if len(parts) == 1:
-        return parts[0][1]
-    measured = []
-    for pid, rep in parts:
-        measured.extend((f"topology{pid}_{label}", v) for label, v in rep.measured)
-    return VerificationReport(
-        name=name,
-        passed=all(r.passed for _, r in parts),
-        measured=tuple(measured),
-        tolerance=parts[0][1].tolerance,
-        narrative=f"{len(parts)} topologies checked",
-    )
-
-
 def cmd_verify(args) -> int:
     check = args.check_opt or args.check
     if check is None:
         return _fail(f"missing check name (one of: {', '.join(CHECK_NAMES)})", EXIT_USAGE)
-    if check not in CHECK_NAMES:
-        return _fail(f"unknown check {check!r} (one of: {', '.join(CHECK_NAMES)})",
-                     EXIT_USAGE)
     if args.random is not None and args.random < 1:
         return _fail("--random needs a positive trial count", EXIT_USAGE)
     try:
@@ -201,25 +183,10 @@ def cmd_verify(args) -> int:
             if args.scenario is not None:
                 return _fail("leader-pull compares bundled topologies; use it "
                              "without --scenario or with --random N", EXIT_USAGE)
-            extra = LeaderLinks(5, 2, ((2, 1, 1.0), (3, 1, 1.0), (4, 1, 1.0)))
-            leaders = LeaderSet(((1.0,), (2.0,)))
-            report = leader_pull_monotonicity(example_one_topology("base"), extra, leaders)
+            report = _leader_pull()
         else:
             s = _load_scenario_arg(args.scenario or _VERIFY_DEFAULT_SCENARIO[check])
-            if check == "lemma1":
-                report = _combine("lemma1", [(pid, check_lemma1(t.graph))
-                                             for pid, t in s.topologies])
-            elif check == "lemma2":
-                report = _combine("lemma2", [(pid, check_lemma2(t))
-                                             for pid, t in s.topologies])
-            elif check == "theorem1":
-                report = check_theorem1(s)
-            elif check == "theorem2":
-                report = check_theorem2(s)
-            else:
-                report = _combine("row-stochastic",
-                                  [(pid, check_row_stochastic(t))
-                                   for pid, t in s.topologies])
+            report = check_scenario(check, s)
     except FileFormatError as e:
         return _fail(str(e), EXIT_USAGE)
     except ScenarioError as e:

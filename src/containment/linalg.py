@@ -16,7 +16,6 @@ __all__ = [
     "sym_eigenvalues",
     "sym_eigh",
     "solve_spd",
-    "is_row_stochastic",
 ]
 
 PIVOT_TOL = 1e-12
@@ -83,17 +82,3 @@ def solve_spd(h, rhs) -> np.ndarray:
         raise ValueError(f"rhs shape {b.shape} does not match matrix order {n}")
     # numpy has no triangular solve, so the factor only decides definiteness
     return np.linalg.solve(a, b)
-
-
-def is_row_stochastic(m, tol: float) -> bool:
-    """True iff every entry is >= -tol and every row sums to 1 within tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("expected a matrix")
-    if a.size == 0:
-        return True
-    if (a < -tol).any():
-        return False
-    return bool((np.abs(a.sum(axis=1) - 1.0) <= tol).all())

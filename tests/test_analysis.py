@@ -12,6 +12,7 @@ from containment.analysis import (
     check_lemma1,
     check_lemma2,
     check_row_stochastic,
+    check_scenario,
     check_theorem1,
     check_theorem2,
     decay_envelope,
@@ -20,6 +21,7 @@ from containment.analysis import (
     write_report,
 )
 from containment.builtin import (
+    EXAMPLE_ONE_PULL_LINKS,
     example_one,
     example_one_topology,
     necessity_demo,
@@ -202,6 +204,28 @@ class TestRowStochastic:
         assert rep.passed
         assert rep.value("min_weight") == pytest.approx(0.5, abs=1e-12)
 
+    @staticmethod
+    def report_for_solution(monkeypatch, solved):
+        # one agent and two leaders: solve_spd returns [W | H^-1] as one row
+        monkeypatch.setattr(analysis, "solve_spd", lambda h, rhs: np.array(solved))
+        t = Topology(AgentGraph(1), LeaderLinks(1, 2, ((1, 1, 1.0), (1, 2, 1.0))))
+        return check_row_stochastic(t)
+
+    def test_negative_weight_fails(self, monkeypatch):
+        rep = self.report_for_solution(monkeypatch, [[1.2, -0.2, 0.5]])
+        assert not rep.passed
+        assert rep.value("min_weight") == pytest.approx(-0.2)
+
+    def test_row_sum_off_fails(self, monkeypatch):
+        rep = self.report_for_solution(monkeypatch, [[0.5, 0.4, 0.5]])
+        assert not rep.passed
+        assert rep.value("max_row_sum_error") == pytest.approx(0.1)
+
+    def test_value_inside_tolerance_band_passes(self, monkeypatch):
+        rep = self.report_for_solution(monkeypatch, [[0.5 + 5e-10, 0.5, 0.5]])
+        assert rep.passed
+        assert 0.0 < rep.value("max_row_sum_error") <= rep.tolerance
+
 
 class TestLeaderPull:
     LEADERS = LeaderSet(((1.0,), (2.0,)))
@@ -223,10 +247,13 @@ class TestLeaderPull:
 
     def test_example_variant_decrease(self):
         base = example_one_topology("base")
-        extra = LeaderLinks(5, 2, ((2, 1, 1.0), (3, 1, 1.0), (4, 1, 1.0)))
-        rep = leader_pull_monotonicity(base, extra, self.LEADERS)
+        rep = leader_pull_monotonicity(base, EXAMPLE_ONE_PULL_LINKS, self.LEADERS)
         assert rep.passed
         assert rep.value("decrease") >= 1e-3
+
+    def test_more_links_variant_is_base_plus_pull_links(self):
+        links = example_one_topology("more-links").leaders.links
+        assert links == ((1, 1, 1.0), (2, 1, 1.0), (3, 1, 1.0), (3, 2, 1.0), (4, 1, 1.0))
 
     def test_rejects_mixed_targets(self):
         base = example_one_topology("base")
@@ -238,6 +265,39 @@ class TestLeaderPull:
         base = Topology(AgentGraph(2), LeaderLinks(2, 2, ((1, 1, 1.0),)))
         with pytest.raises(ValueError):
             leader_pull_monotonicity(base, LeaderLinks(2, 2), self.LEADERS)
+
+
+class TestCheckScenario:
+    @pytest.mark.parametrize("check, direct", [
+        ("lemma1", lambda s: check_lemma1(s.topology(1).graph)),
+        ("lemma2", lambda s: check_lemma2(s.topology(1))),
+        ("theorem1", check_theorem1),
+        ("theorem2", check_theorem2),
+        ("row-stochastic", lambda s: check_row_stochastic(s.topology(1))),
+    ])
+    def test_single_topology_returns_the_checks_own_report(self, check, direct):
+        s = example_one("relay-5")
+        assert check_scenario(check, s) == direct(s)
+
+    @pytest.mark.parametrize("check, direct", [
+        ("lemma1", lambda t: check_lemma1(t.graph)),
+        ("lemma2", check_lemma2),
+        ("row-stochastic", check_row_stochastic),
+    ])
+    def test_switched_matches_direct_calls_per_topology(self, check, direct):
+        s = switched_demo()
+        rep = check_scenario(check, s)
+        assert rep.name == check
+        assert rep.narrative == "3 topologies checked"
+        parts = [(pid, direct(t)) for pid, t in s.topologies]
+        assert rep.passed == all(r.passed for _, r in parts)
+        assert rep.measured == tuple((f"topology{pid}_{label}", v)
+                                     for pid, r in parts for label, v in r.measured)
+
+    @pytest.mark.parametrize("check", ["leader-pull", "nope"])
+    def test_rejects_checks_that_take_no_scenario(self, check):
+        with pytest.raises(ValueError):
+            check_scenario(check, example_one("base"))
 
 
 class TestReports:

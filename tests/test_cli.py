@@ -107,7 +107,15 @@ class TestPaper:
 
     def test_more_links_reports_decrease(self, tmp_path, capsys):
         main(["paper", "--example", "1", "--variant", "more-links", "--out", str(tmp_path)])
-        assert "smaller by" in capsys.readouterr().out
+        stdout = capsys.readouterr().out
+        assert "smaller by" in stdout
+        assert main(["verify", "leader-pull", "--out", str(tmp_path)]) == 0
+        report = dict(json.loads((tmp_path / "leader-pull.json").read_text())["measured"])
+        assert (
+            f"base {report['base_mean_distance']:.6g}, "
+            f"this variant {report['augmented_mean_distance']:.6g} "
+            f"(smaller by {report['decrease']:.6g})"
+        ) in stdout
 
     def test_unknown_variant_exits_2(self, tmp_path):
         assert main(["paper", "--example", "1", "--variant", "bogus",

@@ -27,7 +27,7 @@ from containment.dynamics import (
 )
 from containment.geometry import LeaderSet
 from containment.graph import AgentGraph, LeaderLinks, Topology
-from containment.linalg import NotPositiveDefiniteError, is_row_stochastic, sym_eigenvalues
+from containment.linalg import NotPositiveDefiniteError, sym_eigenvalues
 from containment.sampling import (
     random_connected_topology,
     random_switched_scenario,
@@ -284,7 +284,7 @@ class TestEquilibrium:
         w, x_star = equilibrium(CHAIN2, SOLO_LEADER)
         np.testing.assert_allclose(w, [[1.0], [1.0]], atol=1e-12)
         np.testing.assert_allclose(x_star, [[1.0], [1.0]], atol=1e-12)
-        assert is_row_stochastic(w, 1e-9)
+        assert (w >= -1e-9).all() and (np.abs(w.sum(axis=1) - 1.0) <= 1e-9).all()
 
     def test_two_leaders_midpoint(self):
         t = Topology(AgentGraph(1), LeaderLinks(1, 2, ((1, 1, 1.0), (1, 2, 1.0))))

@@ -9,7 +9,6 @@ from containment.dynamics import build_h
 from containment.graph import is_bar_connected, link_weights
 from containment.linalg import (
     NotPositiveDefiniteError,
-    is_row_stochastic,
     solve_spd,
     sym_eigenvalues,
 )
@@ -100,18 +99,3 @@ class TestSolveSpd:
                     definite = False
                 assert definite == is_bar_connected(t), (trial, scale)
 
-
-class TestRowStochastic:
-    def test_examples(self):
-        assert is_row_stochastic([[0.5, 0.5], [1.0, 0.0]], 1e-9)
-        assert not is_row_stochastic([[1.2, -0.2]], 1e-9)
-
-    def test_row_sum_off(self):
-        assert not is_row_stochastic([[0.5, 0.4]], 1e-9)
-
-    def test_tolerance_band(self):
-        assert is_row_stochastic([[0.5 + 5e-10, 0.5]], 1e-9)
-
-    def test_requires_positive_tol(self):
-        with pytest.raises(ValueError):
-            is_row_stochastic([[1.0]], 0.0)
