@@ -112,9 +112,9 @@ def write_report(report: VerificationReport, outdir) -> tuple[Path, Path]:
 def check_lemma1(g: AgentGraph) -> VerificationReport:
     """Laplacian spectrum versus component structure.
 
-    An eigenvalue counts as zero when it is within ``SPECTRAL_TOL`` times
-    the spectral scale ||L|| (the largest eigenvalue), so the verdict does
-    not depend on the weight scale.
+    An eigenvalue or a row sum counts as zero when it is within
+    ``SPECTRAL_TOL`` times the spectral scale ||L|| (the largest eigenvalue),
+    so the verdict does not depend on the weight scale.
     """
     lap = laplacian(g)
     eigs = sym_eigenvalues(lap)
@@ -126,7 +126,7 @@ def check_lemma1(g: AgentGraph) -> VerificationReport:
     connected = len(comps) == 1
     ok = (
         abs(float(eigs[0])) <= zero
-        and row_sum <= 1e-12
+        and row_sum <= zero
         and zero_mult == len(comps)
         and (not connected or g.n < 2 or float(eigs[1]) > zero)
     )
@@ -259,12 +259,10 @@ def check_theorem1(s: Scenario) -> VerificationReport:
     )
 
 
-def decay_envelope(times, initial_value: float, rate: float, t0: float | None = None,
-                   slack: float = 1e-3) -> np.ndarray:
-    """Exponential bound initial_value * exp(-rate (t - t0)) * (1 + slack)."""
+def decay_envelope(times, initial_value: float, rate: float) -> np.ndarray:
+    """Exponential bound initial_value * exp(-rate (t - times[0])) * (1 + 1e-3)."""
     t = np.asarray(times, dtype=float)
-    start = float(t[0]) if t0 is None else float(t0)
-    return initial_value * np.exp(-rate * (t - start)) * (1.0 + slack)
+    return initial_value * np.exp(-rate * (t - t[0])) * (1.0 + 1e-3)
 
 
 def check_theorem2(s: Scenario) -> VerificationReport:
@@ -286,7 +284,7 @@ def check_theorem2(s: Scenario) -> VerificationReport:
         max_ratio = float(d.max() / 1e-9)
         env_ok = bool((d <= 1e-9).all())
     else:
-        env = decay_envelope(traj.times, d0, lam1, t0=s.t0)
+        env = decay_envelope(traj.times, d0, lam1)
         ratios = d / np.maximum(env, 1e-12)
         max_ratio = float(ratios.max())
         env_ok = bool((d <= np.maximum(env, 1e-12)).all())

@@ -54,18 +54,18 @@ def example_one_topology(variant: str = "base") -> Topology:
     return Topology(AgentGraph(5, edges), LeaderLinks(5, 2, links))
 
 
+def _line_scenario(topologies, t_final: float, notes: str,
+                   entries=((0.0, 1),)) -> Scenario:
+    """Example 1's five agents and two leaders on the real line, dt = 0.01."""
+    return Scenario(m=1, x_init=_X_INIT_1, leaders=LeaderSet(_LEADERS_1),
+                    topologies=topologies, schedule=SwitchingSchedule(entries),
+                    dt=0.01, t_final=t_final, notes=notes)
+
+
 def example_one(variant: str = "base") -> Scenario:
     """Five agents on the real line steered between two static leaders."""
-    return Scenario(
-        m=1,
-        x_init=_X_INIT_1,
-        leaders=LeaderSet(_LEADERS_1),
-        topologies=((1, example_one_topology(variant)),),
-        schedule=SwitchingSchedule(((0.0, 1),)),
-        dt=0.01,
-        t_final=50.0,
-        notes=f"reconstructed chain topology, variant {variant}",
-    )
+    return _line_scenario(((1, example_one_topology(variant)),), 50.0,
+                          f"reconstructed chain topology, variant {variant}")
 
 
 def example_two() -> Scenario:
@@ -102,16 +102,8 @@ def necessity_demo() -> Scenario:
         AgentGraph(5, ((1, 2, 1.0), (2, 3, 1.0), (4, 5, 1.0))),
         LeaderLinks(5, 2, ((1, 1, 1.0),)),
     )
-    return Scenario(
-        m=1,
-        x_init=_X_INIT_1,
-        leaders=LeaderSet(_LEADERS_1),
-        topologies=((1, topo),),
-        schedule=SwitchingSchedule(((0.0, 1),)),
-        dt=0.01,
-        t_final=60.0,
-        notes="leaderless component {4, 5}; containment must fail",
-    )
+    return _line_scenario(((1, topo),), 60.0,
+                          "leaderless component {4, 5}; containment must fail")
 
 
 def switched_demo() -> Scenario:
@@ -121,17 +113,9 @@ def switched_demo() -> Scenario:
         (2, example_one_topology("more-links")),
         (3, example_one_topology("relay-5")),
     )
-    entries = tuple((float(l), 1 + l % 3) for l in range(30))
-    return Scenario(
-        m=1,
-        x_init=_X_INIT_1,
-        leaders=LeaderSet(_LEADERS_1),
-        topologies=topologies,
-        schedule=SwitchingSchedule(entries),
-        dt=0.01,
-        t_final=30.0,
-        notes="cycles the three connected example-1 variants, dwell 1.0",
-    )
+    return _line_scenario(topologies, 30.0,
+                          "cycles the three connected example-1 variants, dwell 1.0",
+                          entries=tuple((float(l), 1 + l % 3) for l in range(30)))
 
 
 BUILTIN_SCENARIOS = {

@@ -13,7 +13,9 @@ Subcommands:
 * ``plotdata`` - convert a trajectory CSV into gnuplot-ready blocks.
 
 Exit codes: 0 success/verified, 1 a verification check failed, 2 usage or
-parse error, 3 structurally invalid scenario.
+parse error (argparse rejects conflicting arguments; a file that cannot be
+written), 3 structurally invalid scenario, whichever command loads it.
+``main`` alone maps exceptions to these codes; the commands only raise.
 
 Anywhere a ``--scenario`` is accepted, ``builtin:<name>`` refers to a bundled
 scenario (for example ``builtin:example1-base`` or ``builtin:necessity``).
@@ -30,7 +32,6 @@ import numpy as np
 
 from .analysis import (
     CHECK_NAMES,
-    NotAllConnectedError,
     VerificationReport,
     check_scenario,
     leader_pull_monotonicity,
@@ -42,7 +43,6 @@ from .dynamics import Scenario, ScenarioError, equilibrium, simulate
 from .geometry import collinearity_residual, project_points
 from .linalg import NotPositiveDefiniteError
 from .scenario_io import (
-    FileFormatError,
     load_scenario,
     read_trajectory,
     write_plot_data,
@@ -71,19 +71,9 @@ def _load_scenario_arg(value: str, **overrides) -> Scenario:
 def cmd_simulate(args) -> int:
     overrides = {key: getattr(args, key) for key in ("dt", "t_final")
                  if getattr(args, key) is not None}
-    try:
-        s = _load_scenario_arg(args.scenario, **overrides)
-    except FileFormatError as e:
-        return _fail(str(e), EXIT_USAGE)
-    except ScenarioError as e:
-        return _fail(str(e), EXIT_INVALID_SCENARIO)
-    except ValueError as e:
-        return _fail(str(e), EXIT_USAGE)
+    s = _load_scenario_arg(args.scenario, **overrides)
     traj = simulate(s)
-    try:
-        write_trajectory(traj, args.out)
-    except OSError as e:
-        return _fail(f"cannot write {args.out}: {e}", EXIT_USAGE)
+    write_trajectory(traj, args.out)
     print(f"final d_xi = {traj.d_xi[-1]:.9g}")
     final = traj.final_state
     for i in range(s.n):
@@ -137,25 +127,15 @@ def _paper_summary(stem: str, s: Scenario, traj) -> None:
 
 
 def cmd_paper(args) -> int:
-    if args.example == 1:
-        if args.variant not in EXAMPLE_ONE_VARIANTS:
-            return _fail(
-                f"unknown example-1 variant {args.variant!r} "
-                f"(known: {', '.join(EXAMPLE_ONE_VARIANTS)})", EXIT_USAGE)
-        stem = f"example1-{args.variant}"
-    else:
-        if args.variant != "base":
-            return _fail("example 2 has only the 'base' variant", EXIT_USAGE)
-        stem = "example2"
+    if args.example == 2 and args.variant != "base":
+        raise ValueError("example 2 has only the 'base' variant")
+    stem = f"example1-{args.variant}" if args.example == 1 else "example2"
     s = builtin_scenario(stem)
     outdir = Path(args.out)
     traj = simulate(s)
-    try:
-        scenario_path = write_scenario(s, outdir / f"{stem}.scenario.json")
-        traj_path = write_trajectory(traj, outdir / f"{stem}.trajectory.csv")
-        plot_path = write_plot_data(traj, outdir / f"{stem}.plot.dat", leaders=s.leaders)
-    except OSError as e:
-        return _fail(f"cannot write into {outdir}: {e}", EXIT_USAGE)
+    scenario_path = write_scenario(s, outdir / f"{stem}.scenario.json")
+    traj_path = write_trajectory(traj, outdir / f"{stem}.trajectory.csv")
+    plot_path = write_plot_data(traj, outdir / f"{stem}.plot.dat", leaders=s.leaders)
     _paper_summary(stem, s, traj)
     print(f"files: {scenario_path}, {traj_path}, {plot_path}")
     return EXIT_OK
@@ -171,52 +151,27 @@ _VERIFY_DEFAULT_SCENARIO = {
 
 
 def cmd_verify(args) -> int:
-    check = args.check_opt or args.check
-    if check is None:
-        return _fail(f"missing check name (one of: {', '.join(CHECK_NAMES)})", EXIT_USAGE)
-    if args.random is not None and args.random < 1:
-        return _fail("--random needs a positive trial count", EXIT_USAGE)
-    try:
-        if args.random is not None:
-            report = run_random_campaign(check, args.random, args.seed)
-        elif check == "leader-pull":
-            if args.scenario is not None:
-                return _fail("leader-pull compares bundled topologies; use it "
-                             "without --scenario or with --random N", EXIT_USAGE)
-            report = _leader_pull()
-        else:
-            s = _load_scenario_arg(args.scenario or _VERIFY_DEFAULT_SCENARIO[check])
-            report = check_scenario(check, s)
-    except FileFormatError as e:
-        return _fail(str(e), EXIT_USAGE)
-    except ScenarioError as e:
-        return _fail(str(e), EXIT_INVALID_SCENARIO)
-    except (NotAllConnectedError, NotPositiveDefiniteError, ValueError) as e:
-        return _fail(str(e), EXIT_USAGE)
-    try:
-        txt_path, _ = write_report(report, args.out)
-    except OSError as e:
-        return _fail(f"cannot write into {args.out}: {e}", EXIT_USAGE)
+    check = args.check or args.check_opt
+    if args.random is not None:
+        report = run_random_campaign(check, args.random, args.seed)
+    elif check == "leader-pull":
+        if args.scenario is not None:
+            raise ValueError("leader-pull compares bundled topologies; use it "
+                             "without --scenario or with --random N")
+        report = _leader_pull()
+    else:
+        s = _load_scenario_arg(args.scenario or _VERIFY_DEFAULT_SCENARIO[check])
+        report = check_scenario(check, s)
+    txt_path, _ = write_report(report, args.out)
     print(report.to_text())
     print(f"report written to {txt_path}")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def cmd_plotdata(args) -> int:
-    try:
-        traj = read_trajectory(args.trajectory)
-    except FileFormatError as e:
-        return _fail(str(e), EXIT_USAGE)
-    leaders = None
-    if args.scenario is not None:
-        try:
-            leaders = _load_scenario_arg(args.scenario).leaders
-        except (FileFormatError, ScenarioError, ValueError) as e:
-            return _fail(str(e), EXIT_USAGE)
-    try:
-        write_plot_data(traj, args.out, leaders=leaders)
-    except (ValueError, OSError) as e:
-        return _fail(str(e), EXIT_USAGE)
+    traj = read_trajectory(args.trajectory)
+    leaders = None if args.scenario is None else _load_scenario_arg(args.scenario).leaders
+    write_plot_data(traj, args.out, leaders=leaders)
     series = traj.n + (1 if leaders is not None else 0) + (traj.n if traj.m == 2 else 0)
     print(f"{series} blocks written to {args.out}")
     return EXIT_OK
@@ -240,18 +195,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paper", help="run a bundled example variant")
     p.add_argument("--example", type=int, choices=(1, 2), required=True)
-    p.add_argument("--variant", default="base",
-                   help="example 1: base, more-links, isolated-2, relay-5")
+    p.add_argument("--variant", default="base", choices=EXAMPLE_ONE_VARIANTS,
+                   help="example-1 variant; example 2 takes only base")
     p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("verify", help="run a named verification check")
-    p.add_argument("check", nargs="?", choices=CHECK_NAMES, metavar="CHECK",
-                   help=f"one of: {', '.join(CHECK_NAMES)}")
-    p.add_argument("--check", dest="check_opt", choices=CHECK_NAMES,
-                   help="alternative to the positional check name")
-    p.add_argument("--scenario", help="scenario file path or builtin:<name>")
-    p.add_argument("--random", type=int, metavar="N",
-                   help="run a seeded random campaign of N trials instead")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("check", nargs="?", choices=CHECK_NAMES, metavar="CHECK",
+                       help=f"one of: {', '.join(CHECK_NAMES)}")
+    which.add_argument("--check", dest="check_opt", choices=CHECK_NAMES,
+                       help="alternative to the positional check name")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--scenario", help="scenario file path or builtin:<name>")
+    source.add_argument("--random", type=int, metavar="N",
+                        help="run a seeded random campaign of N trials instead")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="reports", help="report output directory")
 
@@ -276,7 +233,15 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code else EXIT_OK
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ScenarioError as e:
+        return _fail(str(e), EXIT_INVALID_SCENARIO)
+    except (ValueError, NotPositiveDefiniteError) as e:
+        return _fail(str(e), EXIT_USAGE)
+    except OSError as e:
+        # the readers wrap their own OSError in FileFormatError, so this is a write
+        return _fail(f"cannot write: {e}", EXIT_USAGE)
 
 
 def run() -> None:

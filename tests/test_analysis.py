@@ -99,6 +99,16 @@ class TestWeightScale:
             c * check_lemma1(example_one_topology("base").graph).value("spectral_scale"))
         assert lemma2.value("leader_connected") == 1.0
 
+    # random weights leave rounding residue in the Laplacian's row sums, which
+    # an absolute 1e-12 row-sum threshold failed at 1e6 (2e-10 against a
+    # spectral scale of 4.5e6); unit weights sum to exactly 0 and hid it
+    @pytest.mark.parametrize("c", [1e-10, 1e-6, 1e6, 1e10])
+    def test_lemma1_on_random_weights_does_not_depend_on_weight_scale(self, c):
+        for trial in range(50):
+            g = sampling.random_graph(sampling.rng_for(11, trial))
+            scaled = AgentGraph(g.n, tuple((i, j, w * c) for i, j, w in g.edges))
+            assert check_lemma1(scaled).passed, trial
+
 
 class TestTheorem1:
     def test_connected_builtin(self):

@@ -1,8 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import containment
 from containment.builtin import example_one
 from containment.cli import main
 from containment.scenario_io import scenario_to_dict, write_scenario
@@ -24,6 +29,22 @@ def unstable_file(tmp_path):
     path = tmp_path / "unstable.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+@pytest.fixture()
+def short_trajectory(tmp_path):
+    path = tmp_path / "traj.csv"
+    assert main(["simulate", "--scenario", "builtin:example1-base", "--out",
+                 str(path), "--t-final", "1.0"]) == 0
+    return str(path)
+
+
+@pytest.fixture()
+def blocked(tmp_path):
+    """An output path whose parent is a regular file, so writing it fails."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    return str(blocker / "out")
 
 
 class TestSimulate:
@@ -270,3 +291,50 @@ class TestParser:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out
+
+    def test_positional_and_flag_check_conflict_exits_2(self, tmp_path, capsys):
+        assert main(["verify", "lemma1", "--check", "lemma2", "--out", str(tmp_path)]) == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert not (tmp_path / "lemma2.txt").exists()
+
+    def test_scenario_and_random_conflict_exits_2(self, tmp_path, capsys):
+        assert main(["verify", "theorem1", "--scenario", "builtin:necessity",
+                     "--random", "2", "--out", str(tmp_path)]) == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert not (tmp_path / "theorem1.txt").exists()
+
+
+class TestExitCodes:
+    def test_plotdata_with_invalid_scenario_exits_3(self, short_trajectory, unstable_file,
+                                                     tmp_path, capsys):
+        out = tmp_path / "p.dat"
+        assert main(["plotdata", short_trajectory, "--out", str(out),
+                     "--scenario", unstable_file]) == 3
+        assert not out.exists()
+        assert "unstable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--scenario", "builtin:example1-base", "--t-final", "1.0"],
+        ["paper", "--example", "1"],
+        ["verify", "lemma1"],
+        ["plotdata", None],
+    ], ids=["simulate", "paper", "verify", "plotdata"])
+    def test_write_failure_exits_2(self, argv, blocked, short_trajectory, capsys):
+        argv = [short_trajectory if a is None else a for a in argv]
+        capsys.readouterr()
+        assert main(argv + ["--out", blocked]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write: ")
+        assert err.count("\n") == 1
+
+    def test_module_entry_point_reports_one_error_line(self, tmp_path):
+        src = str(Path(containment.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "containment", "verify", "theorem2",
+             "--scenario", "builtin:necessity", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == "error: topology 1 has a leaderless component\n"
