@@ -119,7 +119,7 @@ def _paper_summary(stem: str, s: Scenario, traj) -> None:
     else:  # example2
         print("claim: the group enters the leader triangle while agents 2..5 "
               "keep a straight-line formation")
-        sq = project_points(final, leaders)[2]
+        sq = project_points(final, leaders)
         hull_dist = float(np.sqrt(2.0 * sq).max())
         resid = collinearity_residual(final[1:])
         print(f"max final distance to the triangle = {hull_dist:.6g}")
@@ -202,9 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification check")
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("check", nargs="?", choices=CHECK_NAMES, metavar="CHECK",
-                       help=f"one of: {', '.join(CHECK_NAMES)}")
+                       help=f"one of: {', '.join(CHECK_NAMES)}; give exactly one "
+                            "of CHECK and --check")
     which.add_argument("--check", dest="check_opt", choices=CHECK_NAMES,
-                       help="alternative to the positional check name")
+                       help="the check name as an option; give exactly one of "
+                            "CHECK and --check")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--scenario", help="scenario file path or builtin:<name>")
     source.add_argument("--random", type=int, metavar="N",

@@ -274,7 +274,7 @@ def simulate(s: Scenario) -> Trajectory:
         lam, v = s.topology(pid).spectrum
         _segment(states[a : b + 1], lam, v, _forcing(s.topology(pid), s.leaders), s.dt)
     times = s.t0 + s.dt * np.arange(steps + 1)
-    sq = project_points(states.reshape(-1, s.m), s.leaders)[2]
+    sq = project_points(states.reshape(-1, s.m), s.leaders)
     dvals = sq.reshape(steps + 1, s.n).sum(axis=1)
     return Trajectory(
         times=times, states=states, topologies=active, d_xi=dvals, n=s.n, m=s.m

@@ -1,19 +1,39 @@
 """Convex hull of the leader positions: exact projection and the
 half-squared-distance function used as the containment certificate.
 
-The projection is exact active-set by subset enumeration: for every nonempty
-subset of at most m+1 vertices, solve the least-squares problem for
-combination weights constrained to sum to one, keep candidates whose weights
-are all nonnegative (within -1e-12), and take the closest. Larger subsets are
-never needed (Caratheodory): if the closest point c lies in the relative
-interior of a face F, then x - c is orthogonal to aff(F), and c is a convex
-combination of some affinely independent S within the vertices of F with
-|S| <= m+1, so the solve on S returns c with nonnegative weights; larger
-subsets only add candidates that differ by rounding. Degenerate vertex sets
-(coincident or collinear leaders) need no special case: rank-deficient
-subsets get least-norm weights and such an S always attains the optimum.
-Cost is sum_{s <= min(k, m+1)} C(k, s) subsets per distinct leader set (793
-at k=12, m=3; all 2^k - 1 when k <= m+1), with k <= 12 enforced.
+Each ``LeaderSet`` owns one ``HullProjector`` (its cached ``projector``).
+On a support S of leaders, the sum-to-one least-squares fit of a point x
+gives weights gamma and the point c = gamma @ V_S of aff(S) closest to x.
+A fit resolves x when every weight is >= -1e-12 and the
+variational-inequality certificate max_v <x - c, v - c> <= tol holds over
+the leaders v. For c in the hull and f(c) = 0.5 ||x - c||^2,
+f(c) - f(p*) <= <x - c, p* - c> <= max_v <x - c, v - c>, so an accepted c
+overstates sq_dist by at most tol = 1e-13 * r * (r + ||x - c||), with r the
+largest leader coordinate about the projector's origin: a few hundred times
+the rounding of the certificate itself. The fit's own rounding, which may put
+c just off the hull, comes on top.
+
+A batch in m >= 2 dimensions is solved in three stages:
+
+* Wolfe's min-norm-point algorithm (P. Wolfe, Math. Programming 11, 1976)
+  runs on every 16th point. Starting from the nearest leader, it adds the
+  leader with the largest certificate term until the certificate holds;
+  when the fit on the grown support has a negative weight, it steps back to
+  the hull and drops the leader whose weight reached zero. Points that share
+  a support are fitted together, and a leader already in the support is
+  never added again.
+* The supports Wolfe ended on are tried in order of frequency on the points
+  not yet resolved.
+* Wolfe finishes the points no support resolved.
+
+The candidate fits use the pseudo-inverse of the support's KKT matrix, so a
+point resolved on a support gets the very bits that enumerating subsets
+with the same KKT solve gives it. Wolfe fits from the pseudo-inverse of the support's edge
+matrix, whose condition number is the square root of the KKT matrix's, so
+that thin supports do not garble the signs it steers by. Each
+pseudo-inverse is built once per support, when first used.
+
+For m = 1 the hull is [min, max] and points are clipped onto it.
 
 Distances carry a 1/2 factor: sq_dist = 0.5 * ||x - closest||^2, so decay
 rates measured on trajectories compare directly against the contraction
@@ -23,12 +43,15 @@ bounds without rescaling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
-MAX_LEADERS = 12
-_FEAS_TOL = 1e-12
+_FEAS_TOL = 1e-12  # weight slack of a candidate support's fit
+_CERT_TOL = 1e-13  # certificate tolerance relative to r * (r + ||x - c||)
+_HARVEST_STRIDE = 16  # Wolfe runs on every 16th point to find candidate supports
+_MAX_ROUNDS = 500  # Wolfe rounds before the projection is declared stuck
+_FAR = 8.0  # hulls this many radii from the origin are solved about their centroid
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,8 +66,6 @@ class LeaderSet:
             raise ValueError("positions must be a (k, m) array")
         if pos.shape[0] < 1 or pos.shape[1] < 1:
             raise ValueError("need at least one leader in at least one dimension")
-        if pos.shape[0] > MAX_LEADERS:
-            raise ValueError(f"at most {MAX_LEADERS} leaders (subset enumeration)")
         if not np.isfinite(pos).all():
             raise ValueError("leader positions must be finite")
         pos.setflags(write=False)
@@ -58,6 +79,11 @@ class LeaderSet:
     def m(self) -> int:
         return self.positions.shape[1]
 
+    @cached_property
+    def projector(self) -> HullProjector:
+        """Projector onto the hull of these positions, built on first use."""
+        return HullProjector(self.positions)
+
 
 @dataclass(frozen=True, eq=False)
 class PolytopeProjection:
@@ -68,63 +94,147 @@ class PolytopeProjection:
     sq_dist: float
 
 
-@lru_cache(maxsize=64)
-def _subset_solvers(leaders: LeaderSet):
-    """Per-subset KKT pseudo-inverses for the sum-to-one least-squares systems,
-    over the subsets of at most m+1 leaders in increasing bitmask order."""
-    v = leaders.positions
-    solvers = []
-    for mask in range(1, 2 ** leaders.k):
-        if mask.bit_count() > leaders.m + 1:
-            continue
-        idx = np.array([q for q in range(leaders.k) if mask >> q & 1])
-        vs = v[idx]
-        s = len(idx)
-        kkt = np.zeros((s + 1, s + 1))
-        kkt[:s, :s] = vs @ vs.T
-        kkt[:s, s] = 1.0
-        kkt[s, :s] = 1.0
-        solvers.append((idx, vs, np.linalg.pinv(kkt)))
-    return solvers
+class HullProjector:
+    """Projection onto the hull of the rows of ``positions``. Supports are
+    sorted tuples of row indices.
 
-
-def project_points(points, leaders: LeaderSet):
-    """Project each row of ``points`` onto the hull of the leader positions.
-
-    Returns (closest (N, m), weights (N, k), sq_dist (N,)) where sq_dist is
-    half the squared Euclidean distance per point. Raises ValueError on a
-    shape mismatch or a non-finite coordinate.
+    Coordinates are taken about ``origin``: the origin itself, unless the hull
+    lies farther from it than _FAR times its radius, where absolute
+    coordinates would bury the hull's shape, and the certificate, in rounding;
+    then the leaders' centroid. ``wolfe`` takes its points in those
+    coordinates, as the columns of an (m, N) array, so every per-point
+    reduction runs across rows.
     """
+
+    def __init__(self, positions: np.ndarray):
+        center = positions.mean(axis=0)
+        far = np.abs(positions).max() > _FAR * np.abs(positions - center).max()
+        self.origin = center if far else np.zeros_like(center)
+        self.vertices = positions - self.origin
+        self.radius = float(np.abs(self.vertices).max())
+        self._kkt: dict[tuple, np.ndarray] = {}
+        self._edges: dict[tuple, np.ndarray] = {}
+
+    def _kkt_fit(self, support: tuple, pt):
+        """Sum-to-one least-squares weights (s, N) of the columns of pt on
+        the support's vertices, from the pseudo-inverse of the KKT matrix
+        [[V_S V_S^T, 1], [1^T, 0]], and those vertices."""
+        vs = self.vertices[list(support)]
+        s = len(support)
+        minv = self._kkt.get(support)
+        if minv is None:
+            kkt = np.zeros((s + 1, s + 1))
+            kkt[:s, :s] = vs @ vs.T
+            kkt[:s, s] = 1.0
+            kkt[s, :s] = 1.0
+            minv = self._kkt[support] = np.linalg.pinv(kkt)
+        rhs = np.empty((s + 1, pt.shape[1]))
+        rhs[:s] = vs @ pt
+        rhs[s] = 1.0
+        return (minv @ rhs)[:s], vs
+
+    def _fit(self, support: tuple, pt):
+        """The same weights (s, N) from the pseudo-inverse of the edge matrix
+        [v_1 - v_0, ..., v_s - v_0]."""
+        vs = self.vertices[list(support)]
+        einv = self._edges.get(support)
+        if einv is None:
+            einv = self._edges[support] = np.linalg.pinv((vs[1:] - vs[0]).T)
+        z = einv @ (pt - vs[0][:, None])
+        return np.vstack([1.0 - z.sum(axis=0), z])
+
+    def _gap(self, pt, c):
+        """Certificate terms <x - c, v - c> (k, N) for the columns x of pt and
+        hull points c, their tolerance (N,), and the residuals x - c."""
+        g = pt - c
+        gap = self.vertices @ g
+        gap -= (g * c).sum(axis=0)
+        gg = (g * g).sum(axis=0)
+        return gap, _CERT_TOL * self.radius * (self.radius + np.sqrt(gg)), gg
+
+    def wolfe(self, pt):
+        """Convex weights (k, N) of the closest hull points to the columns of
+        pt and the supports (k, N) they end on, by Wolfe's algorithm run on
+        all columns at once."""
+        v = self.vertices
+        k, n = len(v), pt.shape[1]
+        w = np.zeros((k, n))
+        w[((v * v).sum(axis=1)[:, None] - 2.0 * v @ pt).argmin(axis=0), np.arange(n)] = 1.0
+        supp = w > 0.0
+        done = np.zeros(n, dtype=bool)
+        refit = np.zeros(n, dtype=bool)  # support changed since w was fitted on it
+        for _ in range(_MAX_ROUNDS):
+            live = np.flatnonzero(~done & ~refit)
+            if live.size:
+                gap, tol, _ = self._gap(pt[:, live], v.T @ w[:, live])
+                gap[supp[:, live]] = -np.inf  # never re-add a support vertex
+                j = gap.argmax(axis=0)
+                ok = gap[j, np.arange(live.size)] <= tol
+                done[live[ok]] = True
+                grow = live[~ok]
+                supp[j[~ok], grow] = True
+                refit[grow] = True
+            if done.all():
+                return w, supp
+            rows = np.flatnonzero(refit)
+            gamma = np.zeros((k, rows.size))
+            keys, group = np.unique(np.packbits(supp[:, rows], axis=0), axis=1,
+                                    return_inverse=True)
+            for i in range(keys.shape[1]):
+                sel = np.flatnonzero(group == i)
+                idx = np.flatnonzero(supp[:, rows[sel[0]]])
+                gamma[idx[:, None], sel] = self._fit(tuple(idx.tolist()), pt[:, rows[sel]])
+            wr = w[:, rows]
+            neg = gamma < 0.0
+            # step from w toward gamma until the first weight reaches zero
+            ratio = np.full(gamma.shape, np.inf)
+            ratio[neg] = wr[neg] / (wr[neg] - gamma[neg])
+            wr += np.minimum(ratio.min(axis=0), 1.0) * (gamma - wr)
+            back = neg.any(axis=0)
+            wr[ratio[:, back].argmin(axis=0), np.flatnonzero(back)] = 0.0
+            np.maximum(wr, 0.0, out=wr)
+            w[:, rows] = wr
+            supp[:, rows[back]] = wr[:, back] > 0.0
+            refit[rows[~back]] = False
+        raise ArithmeticError(f"hull projection did not converge in {_MAX_ROUNDS} rounds")
+
+    def sq_dist(self, p):
+        """Half squared distances (N,) of the rows of p to the hull."""
+        v = self.vertices
+        pt = (p - self.origin).T.copy()
+        if pt.shape[0] == 1:
+            return 0.5 * (pt[0] - np.clip(pt[0], v.min(), v.max())) ** 2
+        sq = np.empty(len(p))
+        todo = np.arange(len(p))
+        keys, counts = np.unique(np.packbits(self.wolfe(pt[:, ::_HARVEST_STRIDE])[1], axis=0),
+                                 axis=1, return_counts=True)
+        for key in keys.T[np.argsort(-counts, kind="stable")]:
+            support = tuple(np.flatnonzero(np.unpackbits(key, count=len(v))).tolist())
+            gamma, vs = self._kkt_fit(support, pt[:, todo])
+            fit = np.flatnonzero((gamma >= -_FEAS_TOL).all(axis=0)
+                                 & (np.abs(gamma.sum(axis=0) - 1.0) <= 1e-9))
+            gap, tol, gg = self._gap(pt[:, todo[fit]], vs.T @ gamma[:, fit])
+            ok = np.flatnonzero(gap.max(axis=0) <= tol)
+            sq[todo[fit[ok]]] = 0.5 * gg[ok]
+            todo = np.delete(todo, fit[ok])
+            if not todo.size:
+                return sq
+        w, _ = self.wolfe(pt[:, todo])
+        g = pt[:, todo] - v.T @ w
+        sq[todo] = 0.5 * (g * g).sum(axis=0)
+        return sq
+
+
+def project_points(points, leaders: LeaderSet) -> np.ndarray:
+    """Half squared Euclidean distance (N,) from each row of ``points`` to the
+    hull of the leader positions. Raises ValueError on a shape mismatch or a
+    non-finite coordinate."""
     p = np.asarray(points, dtype=float)
     if p.ndim != 2 or p.shape[1] != leaders.m:
         raise ValueError(f"points shape {p.shape} does not match dimension {leaders.m}")
     if not np.isfinite(p).all():
         raise ValueError("points must be finite")
-    n = p.shape[0]
-    best_sq = np.full(n, np.inf)
-    best_w = np.zeros((n, leaders.k))
-    best_c = np.zeros((n, leaders.m))
-    for idx, vs, minv in _subset_solvers(leaders):
-        s = len(idx)
-        rhs = np.empty((s + 1, n))
-        rhs[:s] = vs @ p.T
-        rhs[s] = 1.0
-        gamma = (minv @ rhs)[:s]
-        feasible = (gamma >= -_FEAS_TOL).all(axis=0) & (
-            np.abs(gamma.sum(axis=0) - 1.0) <= 1e-9
-        )
-        if not feasible.any():
-            continue
-        closest = gamma.T @ vs
-        sq = 0.5 * ((p - closest) ** 2).sum(axis=1)
-        rows = np.flatnonzero(feasible & (sq < best_sq))
-        if rows.size:
-            best_sq[rows] = sq[rows]
-            best_c[rows] = closest[rows]
-            best_w[rows] = 0.0
-            best_w[rows[:, None], idx] = gamma[:, rows].T
-    np.maximum(best_w, 0.0, out=best_w)  # clamp -1e-12-level noise
-    return best_c, best_w, best_sq
+    return leaders.projector.sq_dist(p)
 
 
 def project(x, leaders: LeaderSet) -> PolytopeProjection:
@@ -137,20 +247,25 @@ def project(x, leaders: LeaderSet) -> PolytopeProjection:
     xv = np.asarray(x, dtype=float).reshape(-1)
     if xv.shape != (leaders.m,):
         raise ValueError(f"point has {xv.size} coordinates, expected {leaders.m}")
-    closest, weights, sq = project_points(xv[None, :], leaders)
-    c, w = closest[0], weights[0]
-    g = xv - c
+    if not np.isfinite(xv).all():
+        raise ValueError("points must be finite")
+    pr = leaders.projector
+    xs = xv - pr.origin
+    w = pr.wolfe(xs[:, None])[0][:, 0]
+    cs = w @ pr.vertices
+    g = xs - cs
     scale = max(
         1.0,
         float(np.abs(xv).max(initial=0.0)),
         float(np.abs(leaders.positions).max()),
     )
-    viol = float(((leaders.positions - c) @ g).max())
+    viol = float(((pr.vertices - cs) @ g).max())
     if viol > 1e-9 * scale * scale:
         raise ArithmeticError(f"projection optimality certificate failed ({viol:.3e})")
+    c = w @ leaders.positions
     c.setflags(write=False)
     w.setflags(write=False)
-    return PolytopeProjection(closest=c, weights=w, sq_dist=float(sq[0]))
+    return PolytopeProjection(closest=c, weights=w, sq_dist=0.5 * float(g @ g))
 
 
 def d_xi(x, leaders: LeaderSet) -> float:
@@ -163,7 +278,7 @@ def d_xi(x, leaders: LeaderSet) -> float:
     xv = np.asarray(x, dtype=float).reshape(-1)
     if xv.size == 0 or xv.size % leaders.m:
         raise ValueError(f"state length {xv.size} is not a multiple of m={leaders.m}")
-    return float(project_points(xv.reshape(-1, leaders.m), leaders)[2].sum())
+    return float(project_points(xv.reshape(-1, leaders.m), leaders).sum())
 
 
 def collinearity_residual(points) -> float:

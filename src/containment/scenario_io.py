@@ -201,9 +201,17 @@ def scenario_to_dict(s: Scenario) -> dict:
     return doc
 
 
-def write_scenario(s: Scenario, path) -> Path:
+def _out_path(path) -> Path:
+    """``path`` as a Path, with its missing parent directories made. A regular
+    file in the way then fails the write as ENOTDIR, not as EEXIST."""
     p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
+    if not p.parent.exists():
+        p.parent.mkdir(parents=True, exist_ok=True)
+    return p
+
+
+def write_scenario(s: Scenario, path) -> Path:
+    p = _out_path(path)
     p.write_text(json.dumps(scenario_to_dict(s), indent=2) + "\n")
     return p
 
@@ -228,8 +236,7 @@ def trajectory_header(n: int, m: int) -> list[str]:
 
 def write_trajectory(traj: Trajectory, path) -> Path:
     """CSV table: t, per-agent coordinates, d_xi, active topology id."""
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
+    p = _out_path(path)
     table = np.column_stack([traj.times, traj.states, traj.d_xi])
     topology = [str(int(v)) for v in traj.topologies.tolist()]
     with p.open("w") as f:
@@ -315,8 +322,7 @@ def write_plot_data(traj: Trajectory, path, leaders: LeaderSet | None = None) ->
     two blank lines so they are addressable with gnuplot's ``index``."""
     if leaders is not None and leaders.m != traj.m:
         raise ValueError("leader dimension does not match the trajectory")
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
+    p = _out_path(path)
     (t,) = _format_columns(traj.times[:, None])
     series, paths = [], []
     for i in range(1, traj.n + 1):

@@ -1,13 +1,15 @@
 """Independent oracles shared across the test suite.
 
 These deliberately avoid the production code paths: the projection oracle
-parametrizes the sum-to-one constraint explicitly and solves with lstsq
-(production builds KKT systems and pseudo-inverts them), the control
-oracle accumulates the neighbor sums agent by agent (production uses the
-assembled matrix form), the eigenvalue oracle runs cyclic Jacobi
-rotations (production calls LAPACK through numpy.linalg.eigvalsh), and the
-trajectory oracle steps RK4 in a loop (production evaluates the RK4
-recurrence in closed form per eigenmode).
+parametrizes the sum-to-one constraint explicitly and solves with lstsq, and
+the batch projection oracle solves every subset of at most m+1 vertices for
+all points at once (production runs Wolfe's algorithm and accepts a support
+by its optimality certificate), the polygon oracle measures distances to
+edges, the control oracle accumulates the neighbor sums agent by agent
+(production uses the assembled matrix form), the eigenvalue oracle runs
+cyclic Jacobi rotations (production calls LAPACK through
+numpy.linalg.eigvalsh), and the trajectory oracle steps RK4 in a loop
+(production evaluates the RK4 recurrence in closed form per eigenmode).
 """
 
 import bisect
@@ -49,6 +51,50 @@ def projection_oracle(x, vertices):
                     best_sq = sq
                     best_closest = closest
     return best_closest, best_sq
+
+
+def projection_batch_oracle(points, vertices):
+    """Half squared distances (N,) from the rows of ``points`` to the hull of
+    ``vertices``, by subset enumeration.
+
+    Every subset of at most m+1 vertices suffices (Caratheodory). For each,
+    the sum-to-one least-squares weights of all points come from one KKT
+    pseudo-inverse; candidates with weights >= -1e-12 compete, and the
+    closest wins.
+    """
+    p = np.asarray(points, dtype=float)
+    v = np.asarray(vertices, dtype=float)
+    k, m = v.shape
+    best = np.full(len(p), np.inf)
+    for size in range(1, min(k, m + 1) + 1):
+        for subset in itertools.combinations(range(k), size):
+            vs = v[list(subset)]
+            kkt = np.zeros((size + 1, size + 1))
+            kkt[:size, :size] = vs @ vs.T
+            kkt[:size, size] = 1.0
+            kkt[size, :size] = 1.0
+            rhs = np.vstack([vs @ p.T, np.ones(len(p))])
+            gamma = (np.linalg.pinv(kkt) @ rhs)[:size]
+            feasible = (gamma >= -1e-12).all(axis=0) & (
+                np.abs(gamma.sum(axis=0) - 1.0) <= 1e-9
+            )
+            sq = 0.5 * ((p - gamma.T @ vs) ** 2).sum(axis=1)
+            np.minimum(best, np.where(feasible, sq, np.inf), out=best)
+    return best
+
+
+def polygon_distance(points, polygon):
+    """Euclidean distance (N,) from planar points to a convex polygon whose
+    vertices are listed counter-clockwise: 0 inside, else the smallest
+    distance to one of its edges."""
+    p = np.asarray(points, dtype=float)
+    a = np.asarray(polygon, dtype=float)
+    e = np.roll(a, -1, axis=0) - a
+    rel = p[:, None, :] - a[None, :, :]
+    t = np.clip((rel * e).sum(axis=2) / (e * e).sum(axis=1), 0.0, 1.0)
+    dist = np.linalg.norm(rel - t[:, :, None] * e, axis=2).min(axis=1)
+    inside = (e[:, 0] * rel[:, :, 1] - e[:, 1] * rel[:, :, 0] >= 0.0).all(axis=1)
+    return np.where(inside, 0.0, dist)
 
 
 def control_oracle(x, topo, leader_positions):

@@ -66,7 +66,7 @@ def test_criterion_2_example_two_reproduction():
     traj = simulate(s)
     elapsed = time.perf_counter() - start
     final = traj.final_state
-    dist = np.sqrt(2.0 * project_points(final, s.leaders)[2])
+    dist = np.sqrt(2.0 * project_points(final, s.leaders))
     resid = collinearity_residual(final[1:])
     ok = dist.max() <= 1e-3 and resid <= 1e-3 and elapsed < 2.0
     report(2, ok, f"max triangle distance {dist.max():.3e}, "
@@ -155,7 +155,7 @@ def test_criterion_9_projection_oracle_agreement():
     worst = 0.0
     for trial in range(1000):
         x, leaders = random_projection_case(rng_for(SEED + 4, trial))
-        got = float(project_points(x[None, :], leaders)[2][0])
+        got = float(project_points(x[None, :], leaders)[0])
         _, want = projection_oracle(x, leaders.positions)
         worst = max(worst, abs(got - want))
     report(9, worst <= 1e-8, f"1000 cases, worst |sq_dist - oracle| = {worst:.3e}")

@@ -5,10 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import polygon_distance
+
 import containment
-from containment.builtin import example_one
+from containment.builtin import example_one, example_two
 from containment.cli import main
 from containment.scenario_io import scenario_to_dict, write_scenario
 
@@ -99,6 +102,22 @@ class TestSimulate:
         assert len(out.read_text().splitlines()) == 1 + 1001
         assert main(["simulate", "--scenario", unstable_file, "--out", str(out),
                      "--t-final", "1"]) == 3
+
+    def test_more_than_twelve_leaders(self, tmp_path, capsys):
+        # example 2 with ten extra, unlinked leaders around its triangle
+        doc = scenario_to_dict(example_two())
+        angles = 2.0 * np.pi * np.arange(10) / 10
+        polygon = 1.5 + 2.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+        doc["leaders"] += [{"id": 4 + q, "position": list(v)} for q, v in enumerate(polygon)]
+        doc["t_final"] = 1.0
+        path = tmp_path / "thirteen.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+        # the hull is the decagon, which holds the triangle
+        last = np.array(out.read_text().splitlines()[-1].split(","), dtype=float)
+        want = 0.5 * (polygon_distance(last[1:-2].reshape(5, 2), polygon) ** 2).sum()
+        assert last[-2] == pytest.approx(want, rel=1e-8)
 
     def test_shorter_horizon_override(self, example_file, tmp_path):
         out = tmp_path / "t.csv"
@@ -297,6 +316,10 @@ class TestParser:
         assert "not allowed with" in capsys.readouterr().err
         assert not (tmp_path / "lemma2.txt").exists()
 
+    def test_verify_help_says_one_check_is_required(self, capsys):
+        assert main(["verify", "-h"]) == 0
+        assert "exactly one of CHECK and --check" in " ".join(capsys.readouterr().out.split())
+
     def test_scenario_and_random_conflict_exits_2(self, tmp_path, capsys):
         assert main(["verify", "theorem1", "--scenario", "builtin:necessity",
                      "--random", "2", "--out", str(tmp_path)]) == 2
@@ -326,6 +349,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write: ")
         assert err.count("\n") == 1
+        # every command names the blocked directory the same way
+        assert "[Errno 20] Not a directory" in err
 
     def test_module_entry_point_reports_one_error_line(self, tmp_path):
         src = str(Path(containment.__file__).resolve().parents[1])

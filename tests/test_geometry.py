@@ -1,21 +1,31 @@
+import gc
+import sys
+import weakref
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import projection_oracle
+from conftest import polygon_distance, projection_batch_oracle, projection_oracle
 
+from containment.builtin import example_two
+from containment.dynamics import Scenario, SwitchingSchedule, simulate
 from containment.geometry import (
     LeaderSet,
-    _subset_solvers,
     collinearity_residual,
     d_xi,
     project,
     project_points,
 )
+from containment.graph import AgentGraph, LeaderLinks, Topology
 from containment.sampling import random_projection_case, rng_for
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import workloads  # noqa: E402
 
 SEGMENT = LeaderSet(((1.0,), (2.0,)))
 TRIANGLE = LeaderSet(((1.0, 1.0), (2.0, 2.0), (1.0, 2.0)))
@@ -34,9 +44,19 @@ class TestLeaderSet:
         with pytest.raises(ValueError):
             LeaderSet(((np.nan, 0.0),))
 
-    def test_rejects_too_many_leaders(self):
-        with pytest.raises(ValueError):
-            LeaderSet(np.zeros((13, 2)))
+    def test_accepts_more_than_twelve_leaders(self):
+        leaders = LeaderSet(np.arange(26.0).reshape(13, 2))
+        assert leaders.k == 13
+        assert project([0.0, 0.0], leaders).sq_dist == pytest.approx(0.5, abs=1e-12)
+
+    def test_collected_after_last_reference(self):
+        leaders = LeaderSet(rng_for(1).uniform(-1.0, 1.0, size=(5, 2)))
+        project_points(rng_for(2).uniform(-2.0, 2.0, size=(50, 2)), leaders)
+        project([3.0, 3.0], leaders)
+        ref = weakref.ref(leaders)
+        del leaders
+        gc.collect()
+        assert ref() is None
 
     def test_positions_read_only(self):
         with pytest.raises(ValueError):
@@ -153,6 +173,7 @@ def assert_matches_oracle(x, leaders):
     _, want_sq = projection_oracle(x, leaders.positions)
     p = project(x, leaders)  # raises if its optimality certificate fails
     assert abs(p.sq_dist - want_sq) <= 1e-8
+    assert abs(project_points(x[None, :], leaders)[0] - want_sq) <= 1e-8
     # interior weights are not unique: pin only that they are a convex
     # combination reproducing the closest point
     assert p.weights.min() >= 0.0
@@ -163,7 +184,8 @@ def assert_matches_oracle(x, leaders):
 
 
 class TestSubsetBound:
-    """At most m+1 leaders per subset (Caratheodory) must not change answers."""
+    """Supports of at most m+1 leaders (Caratheodory), accepted by their
+    optimality certificate, must give the answers of subset enumeration."""
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -183,6 +205,9 @@ class TestSubsetBound:
         inside = rng.dirichlet(np.ones(leaders.k)) @ leaders.positions
         for x in [inside, *rng.uniform(-5.0, 5.0, size=(4, m))]:
             assert_matches_oracle(x, leaders)
+        batch = np.vstack([rng.uniform(-5.0, 5.0, size=(200, m)),
+                           rng.dirichlet(np.ones(leaders.k), size=50) @ leaders.positions])
+        assert_batch_matches_oracle(batch, leaders)
 
     @pytest.mark.parametrize(
         "k,m,count",
@@ -190,15 +215,131 @@ class TestSubsetBound:
          (2, 3, 3)],
     )
     def test_subset_count(self, k, m, count):
+        # Wolfe's supports stay affinely independent, so the projector never
+        # needs more pseudo-inverses than there are subsets of <= m+1 leaders
         leaders = LeaderSet(rng_for(k, m).uniform(-1.0, 1.0, size=(k, m)))
         assert count == sum(comb(k, s) for s in range(1, min(k, m + 1) + 1))
-        assert len(_subset_solvers(leaders)) == count
+        pts = rng_for(k, m + 100).uniform(-2.0, 2.0, size=(400, m))
+        project_points(pts, leaders)
+        for x in pts[:40]:
+            project(x, leaders)
+        supports = leaders.projector._kkt.keys() | leaders.projector._edges.keys()
+        assert len(supports) <= count
+        assert all(len(s) <= min(k, m + 1) for s in supports)
 
-    @pytest.mark.parametrize("k,m", [(1, 1), (2, 1), (3, 2), (4, 3), (2, 3)])
-    def test_unpruned_subsets_in_mask_order(self, k, m):
-        leaders = LeaderSet(rng_for(k, m).uniform(-1.0, 1.0, size=(k, m)))
-        masks = [int((1 << idx).sum()) for idx, _, _ in _subset_solvers(leaders)]
-        assert masks == list(range(1, 2 ** k))
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=10, deadline=None)
+    def test_batch_matches_oracle_beyond_twelve_leaders(self, seed):
+        rng = rng_for(seed)
+        m = int(rng.integers(2, 4))
+        k = int(rng.integers(13, 25 if m == 2 else 17))
+        leaders = LeaderSet(rng.uniform(-3.0, 3.0, size=(k, m)))
+        pts = rng.uniform(-5.0, 5.0, size=(100, m))
+        assert_batch_matches_oracle(pts, leaders)
+
+
+def assert_batch_matches_oracle(pts, leaders):
+    scale = max(1.0, float(np.abs(pts).max()), float(np.abs(leaders.positions).max()))
+    want = projection_batch_oracle(pts, leaders.positions)
+    got = project_points(pts, leaders)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale * scale)
+
+
+def swarm_points(seed):
+    """Agent positions along the first large-swarm benchmark instance's
+    trajectory for ``seed``, one per row, and its leaders."""
+    inst = workloads.build("large-swarm", seed, None).round[0]
+    n, m = workloads.SWARM_N, workloads.SWARM_M
+    leaders = LeaderSet(inst["leaders"])
+    topo = Topology(AgentGraph(n, inst["edges"]),
+                    LeaderLinks(n, workloads.SWARM_K, inst["links"]))
+    s = Scenario(m=m, x_init=inst["x_init"], leaders=leaders, topologies=((1, topo),),
+                 schedule=SwitchingSchedule(((0.0, 1),)), dt=inst["dt"],
+                 t_final=workloads.SWARM_STEPS * inst["dt"])
+    return simulate(s).states.reshape(-1, m), leaders
+
+
+class TestProjector:
+    def test_swarm_trajectory_matches_batch_oracle(self):
+        pts, leaders = swarm_points(3)
+        assert_batch_matches_oracle(pts, leaders)
+
+    def test_example_two_trajectory_matches_batch_oracle(self):
+        s = example_two()
+        assert_batch_matches_oracle(simulate(s).states.reshape(-1, 2), s.leaders)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_points_just_outside_a_facet(self, m):
+        # 1e-7 outside the facet opposite vertex 0 of a simplex, where the
+        # certificate tolerance (~1e-13) is far above the sq_dist (5e-15)
+        rng = rng_for(11, m)
+        simplex = rng.uniform(-2.0, 2.0, size=(m + 1, m))
+        leaders = LeaderSet(np.vstack([simplex, simplex.mean(axis=0)]))
+        facet = simplex[1:]
+        normal = np.linalg.svd(facet[1:] - facet[0])[2][-1]
+        if normal @ (facet[0] - simplex[0]) < 0.0:
+            normal = -normal
+        feet = rng.dirichlet(np.ones(m), size=64) @ facet
+        pts = np.vstack([feet + 1e-7 * normal, feet - 1e-7 * normal])
+        got = project_points(pts, leaders)
+        np.testing.assert_allclose(got[:64], 0.5e-14, rtol=1e-6)
+        assert got[64:].max() <= 1e-24
+        assert_batch_matches_oracle(pts, leaders)
+
+    def test_interval_clip(self):
+        leaders = LeaderSet([[1.0], [3.0], [3.0], [2.0], [1.0]])
+        pts = np.array([[0.0], [1.0], [3.0], [2.5], [5.0], [3.0 + 1e-7], [1.0 - 1e-9],
+                        [-7.0], [2.0]])
+        got = project_points(pts, leaders)
+        want = 0.5 * (pts[:, 0] - np.clip(pts[:, 0], 1.0, 3.0)) ** 2
+        assert (got == want).all()
+        assert got[[1, 2, 3, 8]].tolist() == [0.0] * 4
+        assert_batch_matches_oracle(pts, leaders)
+        for x, sq in zip(pts, got):
+            assert project(x, leaders).sq_dist == pytest.approx(sq, rel=1e-9, abs=1e-30)
+
+    def test_forty_gon_matches_polygon_distance(self):
+        angles = 2.0 * np.pi * np.arange(40) / 40
+        polygon = np.column_stack([np.cos(angles), np.sin(angles)])
+        pts = rng_for(40).uniform(-2.0, 2.0, size=(2000, 2))
+        want = 0.5 * polygon_distance(pts, polygon) ** 2
+        got = project_points(pts, LeaderSet(polygon))
+        np.testing.assert_allclose(got, want, rtol=0, atol=4e-12)
+
+    def test_small_hull_far_from_origin(self):
+        # a triangle 1e-6 across, 5 away from the origin: in absolute
+        # coordinates the certificate's rounding (~1e-15) would exceed the
+        # distances it has to rank (~1e-13)
+        angles = 2.0 * np.pi * np.arange(3) / 3
+        triangle = 5.0 + 1e-6 * np.column_stack([np.cos(angles), np.sin(angles)])
+        pts = 5.0 + rng_for(12).uniform(-2e-6, 2e-6, size=(300, 2))
+        want = 0.5 * polygon_distance(pts, triangle) ** 2
+        leaders = LeaderSet(triangle)
+        np.testing.assert_allclose(project_points(pts, leaders), want, rtol=1e-6, atol=1e-26)
+        for x, sq in zip(pts[:20], want):
+            assert project(x, leaders).sq_dist == pytest.approx(sq, rel=1e-6, abs=1e-26)
+
+    def test_unresolved_points_go_to_wolfe(self):
+        # only the first of two points seeds the candidate supports, so the
+        # second, in another region of the plane, is left for Wolfe
+        pts = np.array([[1.3, 1.6], [5.0, -4.0]])
+        got = project_points(pts, TRIANGLE)
+        assert got[0] <= 1e-24
+        assert got[1] == pytest.approx(project(pts[1], TRIANGLE).sq_dist, rel=1e-12)
+        assert_batch_matches_oracle(pts, TRIANGLE)
+
+    def test_pseudo_inverse_built_once_per_support(self, monkeypatch):
+        calls = []
+        pinv = np.linalg.pinv
+        monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(a.shape) or pinv(a))
+        leaders = LeaderSet(rng_for(5).uniform(-1.0, 1.0, size=(12, 3)))
+        pts = rng_for(6).uniform(-3.0, 3.0, size=(500, 3))
+        first = project_points(pts, leaders)
+        built = len(calls)
+        assert built == len(leaders.projector._kkt) + len(leaders.projector._edges) > 0
+        assert (project_points(pts, leaders) == first).all()
+        assert len(calls) == built
 
 
 class TestDXi:
@@ -242,13 +383,14 @@ class TestDXi:
 
 class TestBatch:
     def test_matches_single(self):
-        pts = np.array([[5.0], [1.5], [-3.0]])
-        closest, weights, sq = project_points(pts, SEGMENT)
-        for row in range(3):
-            p = project(pts[row], SEGMENT)
-            np.testing.assert_allclose(closest[row], p.closest, atol=1e-12)
-            assert sq[row] == pytest.approx(p.sq_dist, abs=1e-12)
-            np.testing.assert_allclose(weights[row], p.weights, atol=1e-12)
+        for leaders, pts in [
+            (SEGMENT, [[5.0], [1.5], [-3.0]]),
+            (TRIANGLE, [[0.0, 0.0], [1.3, 1.6], [0.4, 2.9], [3.0, 1.0], [1.5, 1.5]]),
+        ]:
+            sq = project_points(pts, leaders)
+            assert sq.shape == (len(pts),)
+            for x, got in zip(pts, sq):
+                assert got == pytest.approx(project(x, leaders).sq_dist, abs=1e-12)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
