@@ -4,12 +4,15 @@ Scenario documents are strict: unknown keys are rejected and every error
 message carries the key path (or line/column for malformed JSON) so the CLI
 can point at the offending spot. Trajectory tables use 9 significant digits,
 enough to verify 1e-6-level properties downstream, and are written
-deterministically so repeated runs are byte-identical.
+deterministically so repeated runs are byte-identical. Each cell of a
+trajectory is formatted once, in blocks of rows, and the CSV and plot-data
+writers share the result, which lives as long as the trajectory does.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,8 @@ from .graph import AgentGraph, LeaderLinks, Topology
 
 _TOP_KEYS = ("m", "t0", "t_final", "dt", "agents", "leaders", "topologies", "schedule")
 _ROWS_PER_WRITE = 1024
+# Trajectory -> {column: formatted blocks}; see _cells
+_FORMATTED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class FileFormatError(ValueError):
@@ -216,13 +221,32 @@ def write_scenario(s: Scenario, path) -> Path:
     return p
 
 
-def _format_columns(values) -> list[list[str]]:
-    """Per-column lists of 9-significant-digit strings for a 2-D float array."""
-    return [[f"{v:.9g}" for v in col.tolist()] for col in np.asarray(values, dtype=float).T]
+def _format_cells(values, spec: str) -> str:
+    """The numbers of a 1-D array as one comma-joined string, formatted by one
+    ``%`` for the whole array; ``'%.9g' % v`` and ``f"{v:.9g}"`` give the same
+    bytes."""
+    return ",".join([spec] * len(values)) % tuple(values.tolist())
 
 
-def _plot_block(title: str, cols) -> str:
-    return "\n".join([title, *map(" ".join, zip(*cols))])
+def _cells(traj: Trajectory, column) -> list[str]:
+    """Trajectory column ``'times'``, ``'d_xi'``, ``'topologies'`` or state
+    column ``column``, one ``_format_cells`` string per block of
+    ``_ROWS_PER_WRITE`` rows. Memoized on the trajectory, which is immutable,
+    so both writers format it once."""
+    memo = _FORMATTED.setdefault(traj, {})
+    if column not in memo:
+        values = getattr(traj, column) if isinstance(column, str) else traj.states[:, column]
+        spec = "%d" if column == "topologies" else "%.9g"
+        memo[column] = [_format_cells(values[j : j + _ROWS_PER_WRITE], spec)
+                        for j in range(0, len(values), _ROWS_PER_WRITE)]
+    return memo[column]
+
+
+def _write_rows(f, columns, sep: str) -> None:
+    """Write the rows of columns given as lists of comma-joined blocks, cells
+    joined by ``sep``, one block of rows at a time."""
+    for block in zip(*columns):
+        f.write("\n".join(map(sep.join, zip(*(b.split(",") for b in block)))) + "\n")
 
 
 def trajectory_header(n: int, m: int) -> list[str]:
@@ -237,14 +261,10 @@ def trajectory_header(n: int, m: int) -> list[str]:
 def write_trajectory(traj: Trajectory, path) -> Path:
     """CSV table: t, per-agent coordinates, d_xi, active topology id."""
     p = _out_path(path)
-    table = np.column_stack([traj.times, traj.states, traj.d_xi])
-    topology = [str(int(v)) for v in traj.topologies.tolist()]
+    columns = ["times", *range(traj.n * traj.m), "d_xi", "topologies"]
     with p.open("w") as f:
         f.write(",".join(trajectory_header(traj.n, traj.m)) + "\n")
-        for j in range(0, len(topology), _ROWS_PER_WRITE):  # bounds the live cell strings
-            rows = slice(j, j + _ROWS_PER_WRITE)
-            cols = [*_format_columns(table[rows]), topology[rows]]
-            f.writelines(",".join(cells) + "\n" for cells in zip(*cols))
+        _write_rows(f, [_cells(traj, c) for c in columns], ",")
     return p
 
 
@@ -323,17 +343,18 @@ def write_plot_data(traj: Trajectory, path, leaders: LeaderSet | None = None) ->
     if leaders is not None and leaders.m != traj.m:
         raise ValueError("leader dimension does not match the trajectory")
     p = _out_path(path)
-    (t,) = _format_columns(traj.times[:, None])
-    series, paths = [], []
-    for i in range(1, traj.n + 1):
-        cols = _format_columns(traj.states[:, (i - 1) * traj.m : i * traj.m])
-        series.append(_plot_block(f"# agent {i} time series: t coordinates", [t, *cols]))
-        if traj.m == 2:
-            paths.append(_plot_block(f"# agent {i} path: x y", cols))
+    agents = [[_cells(traj, c) for c in range(i * traj.m, (i + 1) * traj.m)]
+              for i in range(traj.n)]
+    blocks = [(f"# agent {i} time series: t coordinates", [_cells(traj, "times"), *cols])
+              for i, cols in enumerate(agents, 1)]
     if leaders is not None:
-        ids = [str(q) for q in range(1, leaders.k + 1)]
-        series.append(_plot_block("# leaders: id coordinates",
-                                  [ids, *_format_columns(leaders.positions)]))
+        ids = ",".join(map(str, range(1, leaders.k + 1)))
+        coords = [[_format_cells(c, "%.9g")] for c in leaders.positions.T]
+        blocks.append(("# leaders: id coordinates", [[ids], *coords]))
+    if traj.m == 2:
+        blocks += [(f"# agent {i} path: x y", cols) for i, cols in enumerate(agents, 1)]
     with p.open("w") as f:
-        print(*series, *paths, sep="\n\n\n", file=f)
+        for b, (title, cols) in enumerate(blocks):
+            f.write(("\n\n" if b else "") + title + "\n")
+            _write_rows(f, cols, " ")
     return p

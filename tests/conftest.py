@@ -8,8 +8,10 @@ by its optimality certificate), the polygon oracle measures distances to
 edges, the control oracle accumulates the neighbor sums agent by agent
 (production uses the assembled matrix form), the eigenvalue oracle runs
 cyclic Jacobi rotations (production calls LAPACK through
-numpy.linalg.eigvalsh), and the trajectory oracle steps RK4 in a loop
-(production evaluates the RK4 recurrence in closed form per eigenmode).
+numpy.linalg.eigvalsh), the trajectory oracle steps RK4 in a loop
+(production evaluates the RK4 recurrence in closed form per eigenmode), and
+the file-text oracles format one f-string per cell, row by row (production
+formats each column block with one ``%`` and shares it between writers).
 """
 
 import bisect
@@ -177,3 +179,40 @@ def rk4_loop(s):
         pts = pts + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         states.append(pts.ravel())
     return np.array(states)
+
+
+def trajectory_csv_oracle(traj):
+    """The text ``write_trajectory`` writes: one ``f"{v:.9g}"`` per cell."""
+    n, m = traj.n, traj.m
+    header = ["t", *(f"a{i}_{d}" for i in range(1, n + 1) for d in range(1, m + 1)),
+              "d_xi", "topology"]
+    lines = [",".join(header)]
+    for t, state, d, topo in zip(traj.times.tolist(), traj.states.tolist(),
+                                 traj.d_xi.tolist(), traj.topologies.tolist()):
+        lines.append(",".join([f"{t:.9g}", *(f"{v:.9g}" for v in state),
+                               f"{d:.9g}", str(int(topo))]))
+    return "\n".join(lines) + "\n"
+
+
+def plot_data_oracle(traj, leaders=None):
+    """The text ``write_plot_data`` writes: one ``f"{v:.9g}"`` per cell."""
+    n, m = traj.n, traj.m
+    times, states = traj.times.tolist(), traj.states.tolist()
+
+    def block(title, rows):
+        return "\n".join([title, *(" ".join(cells) for cells in rows)])
+
+    def agent(row, i):
+        return [f"{v:.9g}" for v in row[i * m : (i + 1) * m]]
+
+    blocks = [block(f"# agent {i + 1} time series: t coordinates",
+                    ([f"{t:.9g}", *agent(row, i)] for t, row in zip(times, states)))
+              for i in range(n)]
+    if leaders is not None:
+        blocks.append(block("# leaders: id coordinates",
+                            ([str(q), *(f"{v:.9g}" for v in pos)]
+                             for q, pos in enumerate(leaders.positions.tolist(), 1))))
+    if m == 2:
+        blocks += [block(f"# agent {i + 1} path: x y", (agent(row, i) for row in states))
+                   for i in range(n)]
+    return "\n\n\n".join(blocks) + "\n"

@@ -8,12 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import polygon_distance
+from conftest import plot_data_oracle, polygon_distance
 
 import containment
+import containment.cli
 from containment.builtin import example_one, example_two
 from containment.cli import main
-from containment.scenario_io import scenario_to_dict, write_scenario
+from containment.scenario_io import read_trajectory, scenario_to_dict, write_scenario
 
 
 @pytest.fixture()
@@ -144,6 +145,23 @@ class TestPaper:
         assert main(["paper", "--example", "2", "--out", str(tmp_path)]) == 0
         stdout = capsys.readouterr().out
         assert "collinearity residual" in stdout
+
+    def test_writes_through_the_cli_writer_names(self, tmp_path, monkeypatch):
+        # the benchmark's corruption test and span hooks patch these names
+        calls = []
+
+        def recording(name):
+            real = getattr(containment.cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("write_trajectory", "write_plot_data"):
+            monkeypatch.setattr(containment.cli, name, recording(name))
+        assert main(["paper", "--example", "1", "--out", str(tmp_path)]) == 0
+        assert calls == ["write_trajectory", "write_plot_data"]
 
     def test_more_links_reports_decrease(self, tmp_path, capsys):
         main(["paper", "--example", "1", "--variant", "more-links", "--out", str(tmp_path)])
@@ -296,6 +314,19 @@ class TestPlotData:
                      "--out", str(tmp_path / "r.dat"),
                      "--scenario", "builtin:example2"]) == 0
         assert (tmp_path / "r.dat").read_bytes() == (tmp_path / "example2.plot.dat").read_bytes()
+
+    @pytest.mark.parametrize("scenario", [[], ["--scenario", "builtin:example1-base"]])
+    def test_non_canonical_cells_are_reformatted(self, tmp_path, scenario):
+        csv = tmp_path / "hand.csv"
+        csv.write_text("t,a1_1,a2_1,d_xi,topology\n"
+                       "0.0,1.0,+2,0.50,1\n"
+                       "0.50,1E-5,0.1000000000001,-0.0,1\n"
+                       "1,2.000,-3e+00,1e0,2\n")
+        out = tmp_path / "p.dat"
+        assert main(["plotdata", str(csv), "--out", str(out), *scenario]) == 0
+        leaders = example_one("base").leaders if scenario else None
+        assert out.read_text() == plot_data_oracle(read_trajectory(csv), leaders)
+        assert "0.50" not in out.read_text() and "1E-5" not in out.read_text()
 
     def test_empty_trajectory_exits_2(self, tmp_path):
         empty = tmp_path / "empty.csv"

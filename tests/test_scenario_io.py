@@ -1,10 +1,17 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from containment.builtin import example_one, example_two, switched_demo
-from containment.dynamics import ScenarioError, simulate
+from conftest import plot_data_oracle, trajectory_csv_oracle
+
+from containment import scenario_io
+from containment.builtin import BUILTIN_SCENARIOS, example_one, example_two, switched_demo
+from containment.dynamics import ScenarioError, Trajectory, simulate
 from containment.geometry import LeaderSet
 from containment.scenario_io import (
     FileFormatError,
@@ -304,3 +311,110 @@ class TestWriterBytes:
             + "# leaders: id coordinates\n1 3.14159265 -2\n2 0 1e-10\n\n\n"
             + _TINY_PATHS
         )
+
+
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1.7976931348623157e308]
+
+
+def synthetic_trajectory(rows, n=2, m=2, seed=0):
+    """Cells spanning 24 decades, with signed zeros, infinities, NaN and
+    subnormals among the states."""
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((rows, n * m)) * 10.0 ** rng.uniform(-12, 12, (rows, n * m))
+    flat = states.reshape(-1)
+    flat[: len(_SPECIAL)] = _SPECIAL[: flat.size]
+    return Trajectory(
+        times=0.01 * np.arange(rows),
+        states=states,
+        topologies=rng.integers(1, 4, rows),
+        d_xi=np.abs(rng.standard_normal(rows)) * 1e-3,
+        n=n,
+        m=m,
+    )
+
+
+def synthetic_leaders(m, seed=0):
+    return LeaderSet(np.random.default_rng(seed).uniform(-10.0, 10.0, (m + 1, m)))
+
+
+def assert_same_text(path, expected):
+    """Compare by the line count and the first differing line, which keeps a
+    failure report short where a full diff of megabytes would not be."""
+    got, want = path.read_text().splitlines(True), expected.splitlines(True)
+    first = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+                 min(len(got), len(want)))
+    assert (len(got), got[first : first + 1]) == (len(want), want[first : first + 1])
+
+
+def assert_writers_match_oracles(tmp_path, traj, leaders):
+    assert_same_text(write_trajectory(traj, tmp_path / "t.csv"), trajectory_csv_oracle(traj))
+    assert_same_text(write_plot_data(traj, tmp_path / "p.dat"), plot_data_oracle(traj))
+    assert_same_text(write_plot_data(traj, tmp_path / "pl.dat", leaders=leaders),
+                     plot_data_oracle(traj, leaders))
+
+
+class TestWritersMatchOracles:
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_builtin(self, tmp_path, name):
+        s = BUILTIN_SCENARIOS[name]()
+        assert_writers_match_oracles(tmp_path, simulate(s), s.leaders)
+
+    @pytest.mark.parametrize("rows, n, m", [
+        (1, 2, 2),
+        (1024, 2, 2),  # one full block
+        (1025, 2, 2),  # one row in the last block
+        (2049, 3, 1),
+        (300, 3, 3),
+    ])
+    def test_synthetic(self, tmp_path, rows, n, m):
+        assert_writers_match_oracles(tmp_path, synthetic_trajectory(rows, n, m),
+                                     synthetic_leaders(m))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64),
+                    min_size=1, max_size=40))
+    def test_percent_format_is_f_string(self, values):
+        expected = ",".join(f"{v:.9g}" for v in values)
+        assert scenario_io._format_cells(np.array(values), "%.9g") == expected
+
+
+class TestFormattedOnce:
+    def test_each_column_block_formatted_once(self, tmp_path, monkeypatch):
+        traj, leaders = synthetic_trajectory(2049), synthetic_leaders(2)
+        calls = []
+        real = scenario_io._format_cells
+
+        def counting(values, spec):
+            calls.append(len(values))
+            return real(values, spec)
+
+        monkeypatch.setattr(scenario_io, "_format_cells", counting)
+        write_trajectory(traj, tmp_path / "t.csv")
+        # 3 blocks each of t, 4 state columns, d_xi and topology
+        assert sorted(calls) == sorted([1024, 1024, 1] * 7)
+        calls.clear()
+        write_plot_data(traj, tmp_path / "p.dat")
+        assert calls == []
+        write_plot_data(traj, tmp_path / "p.dat", leaders=leaders)
+        assert calls == [3, 3]  # the leader columns, which are not memoized
+
+    def test_plot_data_first_leaves_csv_only_its_own_columns(self, tmp_path, monkeypatch):
+        traj = synthetic_trajectory(1025)
+        calls = []
+        real = scenario_io._format_cells
+        monkeypatch.setattr(scenario_io, "_format_cells",
+                            lambda values, spec: calls.append(spec) or real(values, spec))
+        write_plot_data(traj, tmp_path / "p.dat")
+        assert len(calls) == 2 * 5  # t and 4 state columns; d_xi is not plotted
+        calls.clear()
+        write_trajectory(traj, tmp_path / "t.csv")
+        assert sorted(calls) == ["%.9g", "%.9g", "%d", "%d"]  # 2 blocks each of d_xi, topology
+
+    def test_memo_does_not_pin_the_trajectory(self, tmp_path):
+        traj = synthetic_trajectory(50)
+        write_trajectory(traj, tmp_path / "t.csv")
+        write_plot_data(traj, tmp_path / "p.dat")
+        ref = weakref.ref(traj)
+        del traj
+        gc.collect()
+        assert ref() is None
