@@ -35,16 +35,13 @@ from .dynamics import (
     SwitchingSchedule,
     Trajectory,
     build_h,
-    control,
     equilibrium,
     simulate,
 )
 from .geometry import (
     LeaderSet,
-    PolytopeProjection,
     collinearity_residual,
     d_xi,
-    project,
     project_points,
 )
 from .graph import (

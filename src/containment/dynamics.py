@@ -221,20 +221,6 @@ def _check_pair(t: Topology, leaders: LeaderSet):
         )
 
 
-def _as_points(x, n: int, m: int) -> np.ndarray:
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    if xv.size != n * m:
-        raise ValueError(f"state length {xv.size}, expected n*m = {n * m}")
-    return xv.reshape(n, m)
-
-
-def control(x, t: Topology, leaders: LeaderSet) -> np.ndarray:
-    """Stacked velocity: neighbor attraction plus leader attraction per agent."""
-    _check_pair(t, leaders)
-    pts = _as_points(x, t.graph.n, leaders.m)
-    return (_forcing(t, leaders) - build_h(t) @ pts).ravel()
-
-
 def _segment(out: np.ndarray, lam: np.ndarray, v: np.ndarray, f: np.ndarray,
              dt: float):
     """Fill out[1:] with the RK4 iterates from out[0] of x' = f - H x, where

@@ -26,12 +26,11 @@ A batch in m >= 2 dimensions is solved in three stages:
   not yet resolved.
 * Wolfe finishes the points no support resolved.
 
-The candidate fits use the pseudo-inverse of the support's KKT matrix, so a
-point resolved on a support gets the very bits that enumerating subsets
-with the same KKT solve gives it. Wolfe fits from the pseudo-inverse of the support's edge
-matrix, whose condition number is the square root of the KKT matrix's, so
-that thin supports do not garble the signs it steers by. Each
-pseudo-inverse is built once per support, when first used.
+Both the candidate stage and Wolfe fit through the pseudo-inverse of the
+support's edge matrix [v_1 - v_0, ..., v_s - v_0], built once per support
+when first used. Its weights sum to one by construction, and its condition
+number is the square root of the Gram matrix's, so thin supports do not
+garble the signs Wolfe steers by.
 
 For m = 1 the hull is [min, max] and points are clipped onto it.
 
@@ -85,15 +84,6 @@ class LeaderSet:
         return HullProjector(self.positions)
 
 
-@dataclass(frozen=True, eq=False)
-class PolytopeProjection:
-    """Closest hull point, its convex weights, and half the squared distance."""
-
-    closest: np.ndarray
-    weights: np.ndarray
-    sq_dist: float
-
-
 class HullProjector:
     """Projection onto the hull of the rows of ``positions``. Supports are
     sorted tuples of row indices.
@@ -112,30 +102,12 @@ class HullProjector:
         self.origin = center if far else np.zeros_like(center)
         self.vertices = positions - self.origin
         self.radius = float(np.abs(self.vertices).max())
-        self._kkt: dict[tuple, np.ndarray] = {}
         self._edges: dict[tuple, np.ndarray] = {}
 
-    def _kkt_fit(self, support: tuple, pt):
-        """Sum-to-one least-squares weights (s, N) of the columns of pt on
-        the support's vertices, from the pseudo-inverse of the KKT matrix
-        [[V_S V_S^T, 1], [1^T, 0]], and those vertices."""
-        vs = self.vertices[list(support)]
-        s = len(support)
-        minv = self._kkt.get(support)
-        if minv is None:
-            kkt = np.zeros((s + 1, s + 1))
-            kkt[:s, :s] = vs @ vs.T
-            kkt[:s, s] = 1.0
-            kkt[s, :s] = 1.0
-            minv = self._kkt[support] = np.linalg.pinv(kkt)
-        rhs = np.empty((s + 1, pt.shape[1]))
-        rhs[:s] = vs @ pt
-        rhs[s] = 1.0
-        return (minv @ rhs)[:s], vs
-
     def _fit(self, support: tuple, pt):
-        """The same weights (s, N) from the pseudo-inverse of the edge matrix
-        [v_1 - v_0, ..., v_s - v_0]."""
+        """Sum-to-one least-squares weights (s, N) of the columns of pt on the
+        s vertices of the support, from the pseudo-inverse of its edge matrix
+        [v_1 - v_0, v_2 - v_0, ...]."""
         vs = self.vertices[list(support)]
         einv = self._edges.get(support)
         if einv is None:
@@ -210,10 +182,9 @@ class HullProjector:
                                  axis=1, return_counts=True)
         for key in keys.T[np.argsort(-counts, kind="stable")]:
             support = tuple(np.flatnonzero(np.unpackbits(key, count=len(v))).tolist())
-            gamma, vs = self._kkt_fit(support, pt[:, todo])
-            fit = np.flatnonzero((gamma >= -_FEAS_TOL).all(axis=0)
-                                 & (np.abs(gamma.sum(axis=0) - 1.0) <= 1e-9))
-            gap, tol, gg = self._gap(pt[:, todo[fit]], vs.T @ gamma[:, fit])
+            gamma = self._fit(support, pt[:, todo])
+            fit = np.flatnonzero((gamma >= -_FEAS_TOL).all(axis=0))
+            gap, tol, gg = self._gap(pt[:, todo[fit]], v[list(support)].T @ gamma[:, fit])
             ok = np.flatnonzero(gap.max(axis=0) <= tol)
             sq[todo[fit[ok]]] = 0.5 * gg[ok]
             todo = np.delete(todo, fit[ok])
@@ -235,37 +206,6 @@ def project_points(points, leaders: LeaderSet) -> np.ndarray:
     if not np.isfinite(p).all():
         raise ValueError("points must be finite")
     return leaders.projector.sq_dist(p)
-
-
-def project(x, leaders: LeaderSet) -> PolytopeProjection:
-    """Euclidean projection of one point onto the hull of the leader positions.
-
-    The result is certified by the variational inequality: the outward
-    residual x - closest has nonpositive inner product with every direction
-    v - closest toward a vertex v.
-    """
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    if xv.shape != (leaders.m,):
-        raise ValueError(f"point has {xv.size} coordinates, expected {leaders.m}")
-    if not np.isfinite(xv).all():
-        raise ValueError("points must be finite")
-    pr = leaders.projector
-    xs = xv - pr.origin
-    w = pr.wolfe(xs[:, None])[0][:, 0]
-    cs = w @ pr.vertices
-    g = xs - cs
-    scale = max(
-        1.0,
-        float(np.abs(xv).max(initial=0.0)),
-        float(np.abs(leaders.positions).max()),
-    )
-    viol = float(((pr.vertices - cs) @ g).max())
-    if viol > 1e-9 * scale * scale:
-        raise ArithmeticError(f"projection optimality certificate failed ({viol:.3e})")
-    c = w @ leaders.positions
-    c.setflags(write=False)
-    w.setflags(write=False)
-    return PolytopeProjection(closest=c, weights=w, sq_dist=0.5 * float(g @ g))
 
 
 def d_xi(x, leaders: LeaderSet) -> float:

@@ -1,0 +1,41 @@
+"""Every name the package exports is used by the library itself.
+
+A name that only tests call belongs in the tests, as an oracle, and not in
+the package's public surface.
+"""
+
+import ast
+from pathlib import Path
+
+import containment
+
+SRC = Path(containment.__file__).resolve().parent
+
+
+def exported_names():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def referenced_names():
+    """Names read as a bare name or as an attribute in the modules other than
+    ``__init__.py``."""
+    seen = set()
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                seen.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                seen.add(node.attr)
+    return seen
+
+
+def test_every_export_is_used_by_the_library():
+    assert sorted(exported_names() - referenced_names()) == []
