@@ -37,6 +37,7 @@ from .dynamics import (
     build_h,
     equilibrium,
     simulate,
+    terminal_state,
 )
 from .geometry import (
     LeaderSet,

@@ -2,6 +2,9 @@
 
 Each check simulates or solves the relevant system, compares the measured
 quantities against the stated tolerance, and returns a structured report.
+Theorem 1 is about where the agents end up, so it reads only the terminal
+state (``dynamics.terminal_state``) and does not simulate the trajectory;
+theorem 2 reads every sample.
 ``passed`` is always a pure function of the measured values, so reports can
 be re-derived from their serialized form.
 
@@ -42,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sampling
-from .dynamics import Scenario, build_h, equilibrium, simulate
+from .dynamics import Scenario, build_h, equilibrium, simulate, terminal_state
 from .geometry import LeaderSet, d_xi
 from .graph import (
     AgentGraph,
@@ -195,7 +198,9 @@ def _disconnected_prediction(t: Topology, x_init: np.ndarray, leaders: LeaderSet
 def check_theorem1(s: Scenario) -> VerificationReport:
     """Fixed topology: containment holds iff the topology is leader-connected.
 
-    The scenario must use a single-entry schedule. Connected instances are
+    The scenario must use a single-entry schedule. Only the state at the
+    horizon is read, from ``terminal_state``, and ``final_d_xi`` is its
+    distance certificate; no trajectory is simulated. Connected instances are
     checked against the closed-form equilibrium; instances with leaderless
     components are checked to settle on the in-component means of their
     initial states, keeping the distance certificate above a positive floor.
@@ -204,9 +209,8 @@ def check_theorem1(s: Scenario) -> VerificationReport:
         raise ValueError("fixed-topology check requires a single-entry schedule")
     pid = s.schedule.entries[0][1]
     topo = s.topology(pid)
-    traj = simulate(s)
-    final = traj.final_state
-    d_final = float(traj.d_xi[-1])
+    final = terminal_state(s)
+    d_final = d_xi(final, s.leaders)
     if is_bar_connected(topo):
         _, x_star = equilibrium(topo, s.leaders)
         dev = float(np.abs(final - x_star).max())

@@ -23,10 +23,13 @@ after j steps is exactly
 
     y_j = r^j y_0 + dt p (r^j - 1) / (r - 1) g,    g = V^T f,
 
-or y_0 + j dt g where lambda_i = 0. ``simulate`` evaluates this recurrence in
-closed form instead of stepping: r > 0 on the whole real axis, so r^j is
-exp(j log1p(z p)) and r^j - 1 is expm1 of the same exponent, both free of
-the cancellation in r - 1.
+or y_0 + j dt g where lambda_i = 0. ``_segment`` evaluates this recurrence
+in closed form at chosen step indices j instead of stepping: r > 0 on the
+whole real axis, so r^j is exp(j log1p(z p)) and r^j - 1 is expm1 of the
+same exponent, both free of the cancellation in r - 1. ``simulate`` asks
+for every step of each segment; ``terminal_state`` asks for each segment's
+last step only, chaining segment ends, and lands on the same bits as
+``simulate``'s last row.
 """
 
 from __future__ import annotations
@@ -221,10 +224,11 @@ def _check_pair(t: Topology, leaders: LeaderSet):
         )
 
 
-def _segment(out: np.ndarray, lam: np.ndarray, v: np.ndarray, f: np.ndarray,
-             dt: float):
-    """Fill out[1:] with the RK4 iterates from out[0] of x' = f - H x, where
-    H = V diag(lam) V^T; rows of out are states flattened agent-major."""
+def _segment(out: np.ndarray, x0: np.ndarray, steps, lam: np.ndarray,
+             v: np.ndarray, f: np.ndarray, dt: float):
+    """Write into out[i] the RK4 iterate steps[i] steps on from x0 of
+    x' = f - H x, where H = V diag(lam) V^T; x0 and the rows of out are
+    states flattened agent-major."""
     n, m = f.shape
     z = -dt * lam
     p = 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0
@@ -232,14 +236,22 @@ def _segment(out: np.ndarray, lam: np.ndarray, v: np.ndarray, f: np.ndarray,
     log_r = np.log1p(zp)
     moving = zp != 0.0
     gain = dt * p / np.where(moving, zp, 1.0)
-    y0 = v.T @ out[0].reshape(n, m)
+    y0 = v.T @ x0.reshape(n, m)
     g = v.T @ f
-    for j0 in range(1, len(out), _ROWS):
-        j = np.arange(j0, min(j0 + _ROWS, len(out)), dtype=float)[:, None]
+    steps = np.asarray(steps, dtype=float)
+    for i in range(0, len(steps), _ROWS):
+        j = steps[i : i + _ROWS, None]
         e = j * log_r
         c = np.where(moving, gain * np.expm1(e), j * dt)
         y = np.exp(e)[:, :, None] * y0 + c[:, :, None] * g
-        out[j0 : j0 + len(j)] = (v @ y).reshape(len(j), n * m)
+        out[i : i + len(j)] = (v @ y).reshape(len(j), n * m)
+
+
+def _segments(s: Scenario):
+    """(first step, last step, topology id) of each switching segment."""
+    starts = [round((t - s.t0) / s.dt) for t in s.schedule.times]
+    ids = [pid for _, pid in s.schedule.entries]
+    return zip(starts, starts[1:] + [s.step_count], ids)
 
 
 def simulate(s: Scenario) -> Trajectory:
@@ -247,24 +259,40 @@ def simulate(s: Scenario) -> Trajectory:
     containment certificate at every grid time.
 
     Each switching segment is evaluated in closed form from the cached
-    spectrum of its topology and starts from the previous segment's last row.
+    spectrum of its topology at every one of its steps, starting from the
+    previous segment's last row.
     """
     steps = s.step_count
-    switch_steps = [round((t - s.t0) / s.dt) for t in s.schedule.times]
-    entry_ids = [pid for _, pid in s.schedule.entries]
-    seg = np.searchsorted(switch_steps, np.arange(steps + 1), side="right") - 1
-    active = np.array(entry_ids)[seg]
+    active = np.empty(steps + 1, dtype=int)
     states = np.empty((steps + 1, s.n * s.m))
     states[0] = s.x_init.ravel()
-    for a, b, pid in zip(switch_steps, switch_steps[1:] + [steps], entry_ids):
-        lam, v = s.topology(pid).spectrum
-        _segment(states[a : b + 1], lam, v, _forcing(s.topology(pid), s.leaders), s.dt)
+    for a, b, pid in _segments(s):
+        topo = s.topology(pid)
+        _segment(states[a + 1 : b + 1], states[a], np.arange(1, b - a + 1),
+                 *topo.spectrum, _forcing(topo, s.leaders), s.dt)
+        active[a : b + 1] = pid
     times = s.t0 + s.dt * np.arange(steps + 1)
     sq = project_points(states.reshape(-1, s.m), s.leaders)
     dvals = sq.reshape(steps + 1, s.n).sum(axis=1)
     return Trajectory(
         times=times, states=states, topologies=active, d_xi=dvals, n=s.n, m=s.m
     )
+
+
+def terminal_state(s: Scenario) -> np.ndarray:
+    """The (n, m) state at t_final, equal to ``simulate(s).final_state``.
+
+    Each switching segment is evaluated at its last step only, from the end
+    of the previous one, so the cost grows with the number of segments and
+    not with the number of steps.
+    """
+    x = s.x_init.ravel()
+    for a, b, pid in _segments(s):
+        topo = s.topology(pid)
+        end = np.empty((1, s.n * s.m))
+        _segment(end, x, [b - a], *topo.spectrum, _forcing(topo, s.leaders), s.dt)
+        x = end[0]
+    return x.reshape(s.n, s.m)
 
 
 def equilibrium(t: Topology, leaders: LeaderSet):

@@ -27,9 +27,15 @@ from containment.builtin import (
     necessity_demo,
     switched_demo,
 )
-from containment.dynamics import Scenario, SwitchingSchedule, equilibrium
-from containment.geometry import LeaderSet
-from containment.graph import AgentGraph, LeaderLinks, Topology
+from containment.dynamics import Scenario, SwitchingSchedule, equilibrium, simulate
+from containment.geometry import LeaderSet, d_xi
+from containment.graph import (
+    AgentGraph,
+    LeaderLinks,
+    Topology,
+    is_bar_connected,
+    leaderless_components,
+)
 
 
 def path(n):
@@ -110,6 +116,27 @@ class TestWeightScale:
             assert check_lemma1(scaled).passed, trial
 
 
+def theorem1_oracle(s) -> dict[str, float]:
+    """check_theorem1's verdict and the values it derives from the final
+    state, read off the full trajectory."""
+    traj = simulate(s)
+    topo = s.topology(s.schedule.entries[0][1])
+    final, d_final = traj.final_state, float(traj.d_xi[-1])
+    if is_bar_connected(topo):
+        _, x_star = equilibrium(topo, s.leaders)
+        dev = float(np.abs(final - x_star).max())
+        return {"passed": d_final <= 0.5e-6 * s.n and dev <= 1e-3, "leader_connected": 1.0,
+                "final_d_xi": d_final, "max_dev_from_equilibrium": dev}
+    idx = [[i - 1 for i in comp] for comp in leaderless_components(topo)]
+    agents = [i for comp in idx for i in comp]
+    targets = np.array([s.x_init[comp].mean(axis=0) for comp in idx for _ in comp])
+    d_pred = d_xi(targets, s.leaders)
+    stray = float(np.abs(final[agents] - targets).max())
+    generic = d_pred > analysis.SPECTRAL_TOL
+    return {"passed": not generic or (d_final >= 0.5 * d_pred and stray <= 1e-2),
+            "leader_connected": 0.0, "final_d_xi": d_final, "leaderless_max_dev": stray}
+
+
 class TestTheorem1:
     def test_connected_builtin(self):
         rep = check_theorem1(example_one("base"))
@@ -158,6 +185,30 @@ class TestTheorem1:
         s = dataclasses.replace(example_one("base"), t_final=1.0)
         rep = check_theorem1(s)
         assert not rep.passed
+
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_reads_the_terminal_state_without_simulating(self, monkeypatch, connected):
+        def no_simulate(s):
+            raise AssertionError("theorem 1 needs only the terminal state")
+
+        monkeypatch.setattr(analysis, "simulate", no_simulate)
+        rep = check_theorem1(sampling.settle_scenario(sampling.rng_for(2), connected=connected))
+        assert rep.passed
+        assert rep.value("leader_connected") == float(connected)
+
+    def test_matches_simulate_oracle(self):
+        for trial in range(100):
+            s = sampling.settle_scenario(sampling.rng_for(1, trial), connected=trial % 2 == 0)
+            rep, want = check_theorem1(s), theorem1_oracle(s)
+            assert rep.passed == want["passed"], trial
+            for label, value in want.items():
+                if label not in ("passed", "final_d_xi"):
+                    assert rep.value(label) == value, (trial, label)
+            # the lone final state may take another projector path than it
+            # does inside the trajectory batch: equal up to rounding, or both
+            # interior rounding noise
+            got, d = rep.value("final_d_xi"), want["final_d_xi"]
+            assert abs(got - d) <= 1e-14 * abs(d) or max(got, d) < 1e-28, (trial, got, d)
 
 
 class TestTheorem2:

@@ -23,6 +23,7 @@ from containment.dynamics import (
     build_h,
     equilibrium,
     simulate,
+    terminal_state,
 )
 from containment.geometry import LeaderSet
 from containment.graph import AgentGraph, LeaderLinks, Topology, link_weights
@@ -123,6 +124,23 @@ class TestStep:
         assert 10.0 <= err_coarse / err_fine <= 25.0
 
 
+def chained_scenario():
+    """Segments of 1, _ROWS and _ROWS + 1 steps, each starting where the
+    previous one ended."""
+    dt = 0.01
+    starts = (0, 1, 1 + _ROWS)
+    return Scenario(
+        m=1,
+        x_init=[[5.0], [5.5], [6.0], [7.0], [6.5]],
+        leaders=LeaderSet(((1.0,), (2.0,))),
+        topologies=((1, example_one_topology("base")),
+                    (2, example_one_topology("relay-5"))),
+        schedule=SwitchingSchedule(tuple((a * dt, 1 + i % 2) for i, a in enumerate(starts))),
+        dt=dt,
+        t_final=(2 * _ROWS + 2) * dt,
+    )
+
+
 def assert_matches_loop(s):
     """simulate's closed form reproduces the step-by-step RK4 loop."""
     want = rk4_loop(s)
@@ -155,21 +173,7 @@ class TestClosedForm:
                                   dt=0.01, t_final=steps * 0.01))
 
     def test_chained_segments_match_loop(self):
-        # segments of 1, _ROWS and _ROWS + 1 steps, each starting where the
-        # previous one ended
-        dt = 0.01
-        starts = (0, 1, 1 + _ROWS)
-        s = Scenario(
-            m=1,
-            x_init=[[5.0], [5.5], [6.0], [7.0], [6.5]],
-            leaders=LeaderSet(((1.0,), (2.0,))),
-            topologies=((1, example_one_topology("base")),
-                        (2, example_one_topology("relay-5"))),
-            schedule=SwitchingSchedule(tuple((a * dt, 1 + i % 2) for i, a in enumerate(starts))),
-            dt=dt,
-            t_final=(2 * _ROWS + 2) * dt,
-        )
-        assert_matches_loop(s)
+        assert_matches_loop(chained_scenario())
 
     def test_exact_zero_mode_holds_still(self):
         # H = [[0]]: the lone agent has neither neighbors nor leader links
@@ -177,14 +181,57 @@ class TestClosedForm:
         s = fixed(alone, [[3.0]], SOLO_LEADER, dt=0.5, t_final=50.0)
         assert s.topology(1).spectrum[0][0] == 0.0
         np.testing.assert_array_equal(simulate(s).states, 3.0)
+        np.testing.assert_array_equal(terminal_state(s), s.x_init)
 
     def test_zero_mode_recurrence_is_linear_in_steps(self):
         # RK4 on x' = g with H = 0 gives x_j = x_0 + j dt g, the zp -> 0 limit
-        out = np.empty((_ROWS + 2, 1))
-        out[0] = 3.0
-        _segment(out, np.zeros(1), np.eye(1), np.array([[0.5]]), 0.25)
-        np.testing.assert_allclose(out[:, 0], 3.0 + 0.125 * np.arange(_ROWS + 2),
-                                   rtol=0, atol=1e-12)
+        steps = np.arange(1, _ROWS + 2)
+        out = np.empty((len(steps), 1))
+        _segment(out, np.array([3.0]), steps, np.zeros(1), np.eye(1),
+                 np.array([[0.5]]), 0.25)
+        np.testing.assert_allclose(out[:, 0], 3.0 + 0.125 * steps, rtol=0, atol=1e-12)
+
+    def test_sparse_steps_match_full_evaluation(self):
+        # the chosen steps fall in different _ROWS blocks of the full evaluation
+        topo = example_one_topology("base")
+        lam, v = topo.spectrum
+        f = link_weights(topo) @ np.array([[1.0, 0.0], [2.0, 1.0]])
+        x0 = np.linspace(5.0, 7.0, 10)  # 5 agents in R^2, agent-major
+
+        def evaluate(steps):
+            out = np.empty((len(steps), 10))
+            _segment(out, x0, steps, lam, v, f, 0.01)
+            return out
+
+        chosen = np.array([1, _ROWS, _ROWS + 1, 3 * _ROWS])
+        full = evaluate(np.arange(1, 3 * _ROWS + 1))
+        np.testing.assert_array_equal(evaluate(chosen), full[chosen - 1])
+
+
+class TestTerminalState:
+    """terminal_state evaluates each segment's last step only and lands on
+    simulate's last row bit for bit."""
+
+    @staticmethod
+    def assert_matches_simulate(s):
+        np.testing.assert_array_equal(terminal_state(s), simulate(s).final_state)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_builtins(self, name):
+        self.assert_matches_simulate(builtin_scenario(name))
+
+    def test_chained_segments(self):
+        self.assert_matches_simulate(chained_scenario())
+
+    @given(seed=st.integers(0, 10**6), connected=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_settle_scenarios(self, seed, connected):
+        self.assert_matches_simulate(settle_scenario(rng_for(seed), connected=connected))
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_switched_scenarios(self, seed):
+        self.assert_matches_simulate(random_switched_scenario(rng_for(seed)))
 
 
 class TestScenarioValidation:
