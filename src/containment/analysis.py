@@ -8,43 +8,21 @@ theorem 2 reads every sample.
 ``passed`` is always a pure function of the measured values, so reports can
 be re-derived from their serialized form.
 
-Check catalog:
-
-* lemma1          - Laplacian spectrum: zero eigenvalue with the all-ones
-                    eigenvector, positive algebraic connectivity iff connected.
-* lemma2          - composite matrix positive definite iff every component is
-                    leader-connected (the converse is a desk-scale check: a
-                    leaderless block contributes an exact zero eigenvalue).
-* theorem1        - fixed topology: convergence into the leader hull and onto
-                    the closed-form equilibrium iff leader-connected; with a
-                    leaderless component the flow settles on per-component
-                    means of the initial states instead (the block dynamics
-                    y' = -L y converge rather than merely staying put or
-                    drifting), which pins the residual distance away from
-                    zero for generic initial states.
-* theorem2        - switched topologies, all leader-connected: the distance
-                    certificate decays inside the exponential envelope given
-                    by the smallest composite eigenvalue across the schedule,
-                    and never increases sample to sample.
-* row-stochastic  - equilibrium weights are nonnegative with unit row sums,
-                    and the composite inverse is entrywise nonnegative.
-* leader-pull     - adding links toward one leader moves the equilibrium mean
-                    distance to that leader down (asserted per instance, not
-                    as a universal law).
-
-Only this module maps check names to ``check_*`` functions: by
-``check_scenario`` on one scenario, by ``run_random_campaign`` on random ones.
+The check catalog ``_CHECKS`` at the end of this module alone names the
+checks; ``check_scenario`` and ``run_random_campaign`` read each row.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import sampling
+from .builtin import EXAMPLE_ONE_PULL_LINKS, builtin_scenario
 from .dynamics import Scenario, build_h, equilibrium, simulate, terminal_state
 from .geometry import LeaderSet, d_xi
 from .graph import (
@@ -61,8 +39,6 @@ from .graph import (
 from .linalg import solve_spd, sym_eigenvalues
 
 SPECTRAL_TOL = 1e-9
-
-CHECK_NAMES = ("lemma1", "lemma2", "theorem1", "theorem2", "row-stochastic", "leader-pull")
 
 
 class NotAllConnectedError(ValueError):
@@ -388,104 +364,130 @@ def _combine(name: str, parts: list[tuple[int, VerificationReport]]) -> Verifica
     )
 
 
-def check_scenario(check: str, s: Scenario) -> VerificationReport:
-    """Run one named check on a scenario.
-
-    theorem1 and theorem2 run on the whole scenario; lemma1, lemma2 and
-    row-stochastic on each topology, combined under ``topology<id>_`` labels
-    when there are several. Raises ValueError for leader-pull and unknown names.
-    """
-    if check == "theorem1":
-        return check_theorem1(s)
-    if check == "theorem2":
-        return check_theorem2(s)
-    if check == "lemma1":
-        parts = [(pid, check_lemma1(t.graph)) for pid, t in s.topologies]
-    elif check == "lemma2":
-        parts = [(pid, check_lemma2(t)) for pid, t in s.topologies]
-    elif check == "row-stochastic":
-        parts = [(pid, check_row_stochastic(t)) for pid, t in s.topologies]
-    else:
-        raise ValueError(f"check {check!r} does not run on a scenario")
-    return _combine(check, parts)
-
-
-def _aggregate(name: str, reports: list[VerificationReport], tolerance: float,
-               extremes: dict[str, float]) -> VerificationReport:
-    failed = [i for i, r in enumerate(reports) if not r.passed]
-    failures = len(failed)
-    measured = [("trials", float(len(reports))), ("failures", float(failures))]
-    if failed:
-        measured.append(("first_failed_trial", float(failed[0])))
-    measured.extend(sorted(extremes.items()))
-    return VerificationReport(
-        name=name,
-        passed=failures == 0,
-        measured=tuple(measured),
-        tolerance=tolerance,
-        narrative=f"{len(reports)} randomized trials, {failures} failures",
-    )
-
-
 def run_random_campaign(check: str, trials: int, seed: int) -> VerificationReport:
     """Run a seeded random campaign for one named check and aggregate it.
 
     Trials are generated from (seed, trial index) so campaigns reproduce
     exactly; a failing campaign reports ``first_failed_trial``, whose instance
-    ``sampling.rng_for(seed, first_failed_trial)`` regenerates. theorem1
-    alternates leader-connected and leaderless-component instances;
-    leader-pull stays in the two-leader regime where the
-    monotonicity is provable, since with three or more leaders it holds only
-    instance by instance.
+    ``sampling.rng_for(seed, first_failed_trial)`` regenerates. Each tracked
+    value keeps its extreme: the maximum for a ``max_`` label, else the minimum.
     """
-    if check not in CHECK_NAMES:
-        raise ValueError(f"unknown check {check!r}")
+    row = _row(check)
     if trials < 1:
         raise ValueError("need at least one trial")
-    reports: list[VerificationReport] = []
+    reports = [row.trial(sampling.rng_for(seed, i), i) for i in range(trials)]
     ext: dict[str, float] = {}
+    for rep in reports:
+        for label, v in row.tracked(rep).items():
+            keep = max if label.startswith("max_") else min
+            ext[label] = v if label not in ext else keep(ext[label], v)
+    failed = [i for i, r in enumerate(reports) if not r.passed]
+    measured = [("trials", float(trials)), ("failures", float(len(failed)))]
+    if failed:
+        measured.append(("first_failed_trial", float(failed[0])))
+    return VerificationReport(
+        name=check,
+        passed=not failed,
+        measured=tuple(measured + sorted(ext.items())),
+        tolerance=reports[0].tolerance,
+        narrative=f"{trials} randomized trials, {len(failed)} failures",
+    )
 
-    def track(label: str, value: float, reducer=min):
-        ext[label] = value if label not in ext else reducer(ext[label], value)
 
-    for i in range(trials):
-        rng = sampling.rng_for(seed, i)
-        if check == "lemma1":
-            rep = check_lemma1(sampling.random_graph(rng))
-            track("max_abs_lambda1", abs(rep.value("lambda1")), max)
-        elif check == "lemma2":
-            rep = check_lemma2(sampling.random_topology(rng, linked=i % 2 == 0))
-            if rep.value("leader_connected"):
-                track("min_lambda_min_connected", rep.value("lambda_min"))
-            else:
-                track("max_lambda_min_disconnected", rep.value("lambda_min"), max)
-        elif check == "theorem1":
-            rep = check_theorem1(sampling.settle_scenario(rng, connected=i % 2 == 0))
-            if rep.value("leader_connected"):
-                track("max_dev_from_equilibrium", rep.value("max_dev_from_equilibrium"), max)
-            else:
-                track("min_final_d_xi_disconnected", rep.value("final_d_xi"))
-        elif check == "theorem2":
-            rep = check_theorem2(sampling.random_switched_scenario(rng))
-            track("max_envelope_ratio", rep.value("max_envelope_ratio"), max)
-        elif check == "row-stochastic":
-            rep = check_row_stochastic(sampling.random_connected_topology(rng))
-            track("min_weight", rep.value("min_weight"))
-            track("max_row_sum_error", rep.value("max_row_sum_error"), max)
-        else:  # leader-pull
-            base = sampling.random_connected_topology(rng, k=2)
-            n, k = base.graph.n, 2
-            q = int(rng.integers(1, k + 1))
-            adds = {}
-            for agent in range(1, n + 1):
-                if rng.random() < 0.4:
-                    adds[(agent, q)] = float(rng.uniform(0.5, 2.0))
-            if not adds:
-                adds[(int(rng.integers(1, n + 1)), q)] = 1.0
-            extra = LeaderLinks(n, k, tuple((a, ql, w) for (a, ql), w in sorted(adds.items())))
-            leaders = sampling.random_leader_set(rng, k, int(rng.integers(1, 4)))
-            rep = leader_pull_monotonicity(base, extra, leaders)
-            track("min_decrease", rep.value("decrease"))
-        reports.append(rep)
-    tolerance = reports[0].tolerance
-    return _aggregate(check, reports, tolerance, ext)
+def check_scenario(check: str, s: Scenario | None = None) -> VerificationReport:
+    """Run one named check on a scenario, or on its default builtin scenario
+    when ``s`` is None.
+
+    Per-topology checks combine their reports under ``topology<id>_`` labels
+    when there are several. Raises ValueError for an unknown name and for a
+    scenario given to a check that runs only on its default (leader-pull).
+    """
+    row = _row(check)
+    if s is None:
+        s = builtin_scenario(row.default)
+    elif row.runs_on == "default":
+        raise ValueError(f"check {check!r} runs only on its bundled instance; "
+                         "run it without a scenario or as a random campaign")
+    if row.runs_on == "topology":
+        return _combine(check, [(pid, row.run(t)) for pid, t in s.topologies])
+    return row.run(s)
+
+
+@dataclass(frozen=True)
+class _Check:
+    """One row of the check catalog.
+
+    ``run`` takes what ``runs_on`` names: "scenario" (the whole scenario),
+    "topology" (each topology in turn) or "default" (the row's ``default``
+    builtin scenario only). ``trial(rng, i)`` draws and checks random trial
+    i; ``tracked`` gives the ``max_``/``min_`` values a campaign tracks.
+    """
+
+    runs_on: str
+    run: Callable
+    trial: Callable[[np.random.Generator, int], VerificationReport]
+    tracked: Callable[[VerificationReport], dict[str, float]]
+    default: str = "example1-base"
+
+
+def _row(check: str) -> _Check:
+    if check not in _CHECKS:
+        raise ValueError(f"unknown check {check!r}")
+    return _CHECKS[check]
+
+
+# Each row calls check_* through a lambda, so the name is looked up at run time.
+_CHECKS = {
+    # Laplacian spectrum: zero eigenvalue with the all-ones eigenvector,
+    # positive algebraic connectivity iff connected.
+    "lemma1": _Check(
+        "topology", lambda t: check_lemma1(t.graph),
+        trial=lambda rng, i: check_lemma1(sampling.random_graph(rng)),
+        tracked=lambda r: {"max_abs_lambda1": abs(r.value("lambda1"))}),
+    # Composite matrix positive definite iff every component is
+    # leader-connected (the converse is a desk-scale check: a leaderless block
+    # contributes an exact zero eigenvalue). Trials alternate the two cases.
+    "lemma2": _Check(
+        "topology", lambda t: check_lemma2(t),
+        trial=lambda rng, i: check_lemma2(sampling.random_topology(rng, linked=i % 2 == 0)),
+        tracked=lambda r: {("min_lambda_min_connected" if r.value("leader_connected")
+                            else "max_lambda_min_disconnected"): r.value("lambda_min")}),
+    # Fixed topology: convergence into the leader hull and onto the
+    # closed-form equilibrium iff leader-connected; with a leaderless
+    # component the flow settles on per-component means of the initial states
+    # instead (the block dynamics y' = -L y converge rather than merely
+    # staying put or drifting), which pins the residual distance away from
+    # zero for generic initial states. Trials alternate the two cases.
+    "theorem1": _Check(
+        "scenario", lambda s: check_theorem1(s),
+        trial=lambda rng, i: check_theorem1(sampling.settle_scenario(rng, connected=i % 2 == 0)),
+        tracked=lambda r: (
+            {"max_dev_from_equilibrium": r.value("max_dev_from_equilibrium")}
+            if r.value("leader_connected")
+            else {"min_final_d_xi_disconnected": r.value("final_d_xi")})),
+    # Switched topologies, all leader-connected: the distance certificate
+    # decays inside the exponential envelope given by the smallest composite
+    # eigenvalue across the schedule, and never increases sample to sample.
+    "theorem2": _Check(
+        "scenario", lambda s: check_theorem2(s), default="switched",
+        trial=lambda rng, i: check_theorem2(sampling.random_switched_scenario(rng)),
+        tracked=lambda r: {"max_envelope_ratio": r.value("max_envelope_ratio")}),
+    # Equilibrium weights are nonnegative with unit row sums, and the
+    # composite inverse is entrywise nonnegative.
+    "row-stochastic": _Check(
+        "topology", lambda t: check_row_stochastic(t),
+        trial=lambda rng, i: check_row_stochastic(sampling.random_connected_topology(rng)),
+        tracked=lambda r: {"min_weight": r.value("min_weight"),
+                           "max_row_sum_error": r.value("max_row_sum_error")}),
+    # Adding links toward one leader moves the equilibrium mean distance to
+    # that leader down (asserted per instance, not as a universal law); by
+    # default example 1's base against base plus the more-links links. Trials
+    # stay with two leaders, where the monotonicity is provable.
+    "leader-pull": _Check(
+        "default", lambda s: leader_pull_monotonicity(s.topology(1), EXAMPLE_ONE_PULL_LINKS,
+                                                      s.leaders),
+        trial=lambda rng, i: leader_pull_monotonicity(*sampling.random_leader_pull_case(rng)),
+        tracked=lambda r: {"min_decrease": r.value("decrease")}),
+}
+
+CHECK_NAMES = tuple(_CHECKS)

@@ -6,10 +6,10 @@ Subcommands:
   the final containment distance and per-agent positions.
 * ``paper``    - run a bundled example variant; writes scenario, trajectory,
   and plot-data files and prints the qualitative claim the variant exercises.
-* ``verify``   - run one named check (lemma1, lemma2, theorem1, theorem2,
-  row-stochastic, leader-pull) on a scenario or as a seeded random campaign;
-  writes one report per check as .txt and .json. ``analysis`` decides how
-  each check runs; this module only picks the default scenario per name.
+* ``verify``   - run one named check on a scenario (by default the check's
+  own builtin one) or as a seeded random campaign; writes one report per
+  check as .txt and .json. ``analysis``'s check catalog names the checks and
+  says how each runs; this module only parses the arguments.
 * ``plotdata`` - convert a trajectory CSV into gnuplot-ready blocks.
 
 Exit codes: 0 success/verified, 1 a verification check failed, 2 usage or
@@ -32,7 +32,6 @@ import numpy as np
 
 from .analysis import (
     CHECK_NAMES,
-    VerificationReport,
     check_scenario,
     leader_pull_monotonicity,
     run_random_campaign,
@@ -83,12 +82,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _leader_pull() -> VerificationReport:
-    """Example 1's leader-pull claim: base versus base plus the more-links links."""
-    base = builtin_scenario("example1-base")
-    return leader_pull_monotonicity(base.topology(1), EXAMPLE_ONE_PULL_LINKS, base.leaders)
-
-
 def _paper_summary(stem: str, s: Scenario, traj) -> None:
     final = traj.final_state
     leaders = s.leaders
@@ -97,7 +90,8 @@ def _paper_summary(stem: str, s: Scenario, traj) -> None:
         print(f"final positions: {np.array2string(final.ravel(), precision=6)}")
     elif stem == "example1-more-links":
         print("claim: more links toward leader 1 pull the group closer to leader 1")
-        rep = _leader_pull()
+        base = builtin_scenario("example1-base")
+        rep = leader_pull_monotonicity(base.topology(1), EXAMPLE_ONE_PULL_LINKS, leaders)
         print(f"mean equilibrium distance to leader 1: "
               f"base {rep.value('base_mean_distance'):.6g}, "
               f"this variant {rep.value('augmented_mean_distance'):.6g} "
@@ -141,26 +135,12 @@ def cmd_paper(args) -> int:
     return EXIT_OK
 
 
-_VERIFY_DEFAULT_SCENARIO = {
-    "lemma1": "builtin:example1-base",
-    "lemma2": "builtin:example1-base",
-    "theorem1": "builtin:example1-base",
-    "theorem2": "builtin:switched",
-    "row-stochastic": "builtin:example1-base",
-}
-
-
 def cmd_verify(args) -> int:
     check = args.check or args.check_opt
     if args.random is not None:
         report = run_random_campaign(check, args.random, args.seed)
-    elif check == "leader-pull":
-        if args.scenario is not None:
-            raise ValueError("leader-pull compares bundled topologies; use it "
-                             "without --scenario or with --random N")
-        report = _leader_pull()
     else:
-        s = _load_scenario_arg(args.scenario or _VERIFY_DEFAULT_SCENARIO[check])
+        s = _load_scenario_arg(args.scenario) if args.scenario else None
         report = check_scenario(check, s)
     txt_path, _ = write_report(report, args.out)
     print(report.to_text())

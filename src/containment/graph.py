@@ -20,27 +20,29 @@ import numpy as np
 from .linalg import sym_eigh
 
 
-def _canonical_edges(n: int, edges) -> tuple[tuple[int, int, float], ...]:
+def _weighted_pairs(pairs, noun: str, shape: str, check) -> tuple[tuple[int, int, float], ...]:
+    """Parse (a, b) and (a, b, weight) pairs into sorted (a, b, weight) triples.
+
+    A bare pair gets weight 1.0. ``check(a, b)`` raises on the caller's own
+    rules and returns the pair's canonical key; then the weight must be
+    positive and finite, and each key may appear once.
+    """
     seen = set()
     out = []
-    for e in edges:
+    for e in pairs:
         if len(e) == 2:
-            i, j, w = int(e[0]), int(e[1]), 1.0
+            a, b, w = int(e[0]), int(e[1]), 1.0
         elif len(e) == 3:
-            i, j, w = int(e[0]), int(e[1]), float(e[2])
+            a, b, w = int(e[0]), int(e[1]), float(e[2])
         else:
-            raise ValueError(f"edge {e!r} must be (i, j) or (i, j, weight)")
-        if i == j:
-            raise ValueError(f"self-loop on agent {i}")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(f"edge ({i}, {j}) out of range 1..{n}")
+            raise ValueError(f"{noun} {e!r} must be {shape}")
+        key = check(a, b)
         if w <= 0 or not np.isfinite(w):
-            raise ValueError(f"edge ({i}, {j}) weight {w} must be positive")
-        i, j = (i, j) if i < j else (j, i)
-        if (i, j) in seen:
-            raise ValueError(f"duplicate edge ({i}, {j})")
-        seen.add((i, j))
-        out.append((i, j, w))
+            raise ValueError(f"{noun} ({a}, {b}) weight {w} must be positive")
+        if key in seen:
+            raise ValueError(f"duplicate {noun} ({key[0]}, {key[1]})")
+        seen.add(key)
+        out.append((*key, w))
     return tuple(sorted(out))
 
 
@@ -58,7 +60,16 @@ class AgentGraph:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError("agent count must be a positive integer")
-        object.__setattr__(self, "edges", _canonical_edges(self.n, self.edges))
+
+        def check(i, j):
+            if i == j:
+                raise ValueError(f"self-loop on agent {i}")
+            if not (1 <= i <= self.n and 1 <= j <= self.n):
+                raise ValueError(f"edge ({i}, {j}) out of range 1..{self.n}")
+            return (i, j) if i < j else (j, i)
+
+        edges = _weighted_pairs(self.edges, "edge", "(i, j) or (i, j, weight)", check)
+        object.__setattr__(self, "edges", edges)
 
 
 @dataclass(frozen=True)
@@ -78,26 +89,17 @@ class LeaderLinks:
             raise ValueError("agent count must be a positive integer")
         if not isinstance(self.k, int) or self.k < 1:
             raise ValueError("leader count must be a positive integer")
-        seen = set()
-        out = []
-        for e in self.links:
-            if len(e) == 2:
-                i, q, w = int(e[0]), int(e[1]), 1.0
-            elif len(e) == 3:
-                i, q, w = int(e[0]), int(e[1]), float(e[2])
-            else:
-                raise ValueError(f"link {e!r} must be (agent, leader) or (agent, leader, weight)")
+
+        def check(i, q):
             if not 1 <= i <= self.n:
                 raise ValueError(f"link agent {i} out of range 1..{self.n}")
             if not 1 <= q <= self.k:
                 raise ValueError(f"link leader {q} out of range 1..{self.k}")
-            if w <= 0 or not np.isfinite(w):
-                raise ValueError(f"link ({i}, {q}) weight {w} must be positive")
-            if (i, q) in seen:
-                raise ValueError(f"duplicate link ({i}, {q})")
-            seen.add((i, q))
-            out.append((i, q, w))
-        object.__setattr__(self, "links", tuple(sorted(out)))
+            return i, q
+
+        links = _weighted_pairs(self.links, "link",
+                                "(agent, leader) or (agent, leader, weight)", check)
+        object.__setattr__(self, "links", links)
 
     @property
     def linked_agents(self) -> frozenset[int]:
@@ -171,12 +173,11 @@ def components(g: AgentGraph) -> tuple[tuple[int, ...], ...]:
 
 def is_bar_connected(t: Topology) -> bool:
     """True iff every component of the agent graph has a leader-linked agent."""
-    linked = t.leaders.linked_agents
-    return all(any(i in linked for i in comp) for comp in components(t.graph))
+    return not leaderless_components(t)
 
 
 def leaderless_components(t: Topology) -> tuple[tuple[int, ...], ...]:
-    """Components with no link to any leader (empty iff is_bar_connected)."""
+    """Components with no link to any leader; ``is_bar_connected`` reads it."""
     linked = t.leaders.linked_agents
     return tuple(c for c in components(t.graph) if not any(i in linked for i in c))
 

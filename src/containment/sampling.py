@@ -122,6 +122,20 @@ def random_leader_set(rng, k: int, m: int, box=(0.0, 2.0)) -> LeaderSet:
     return LeaderSet(rng.uniform(box[0], box[1], size=(k, m)))
 
 
+def random_leader_pull_case(rng) -> tuple[Topology, LeaderLinks, LeaderSet]:
+    """Connected two-leader topology, extra links toward one random leader (from
+    each agent with probability 0.4, else from one random agent with unit
+    weight), and leader positions in 1..3 dimensions."""
+    base = random_connected_topology(rng, k=2)
+    n = base.graph.n
+    q = int(rng.integers(1, 3))
+    adds = {agent: _weight(rng) for agent in range(1, n + 1) if rng.random() < 0.4}
+    if not adds:
+        adds[int(rng.integers(1, n + 1))] = 1.0
+    extra = LeaderLinks(n, 2, tuple((agent, q, w) for agent, w in sorted(adds.items())))
+    return base, extra, random_leader_set(rng, 2, int(rng.integers(1, 4)))
+
+
 def _settle_rate(topo: Topology) -> float:
     """Slowest nonzero mode of the composite matrix, 1.0 if every mode is zero.
 

@@ -7,6 +7,7 @@ import pytest
 
 from containment import analysis, sampling
 from containment.analysis import (
+    CHECK_NAMES,
     NotAllConnectedError,
     VerificationReport,
     check_lemma1,
@@ -22,11 +23,13 @@ from containment.analysis import (
 )
 from containment.builtin import (
     EXAMPLE_ONE_PULL_LINKS,
+    builtin_scenario,
     example_one,
     example_one_topology,
     necessity_demo,
     switched_demo,
 )
+from containment.cli import main
 from containment.dynamics import Scenario, SwitchingSchedule, equilibrium, simulate
 from containment.geometry import LeaderSet, d_xi
 from containment.graph import (
@@ -355,6 +358,27 @@ class TestCheckScenario:
         assert rep.measured == tuple((f"topology{pid}_{label}", v)
                                      for pid, r in parts for label, v in r.measured)
 
+    @pytest.mark.parametrize("check, default", [
+        ("lemma1", "example1-base"),
+        ("lemma2", "example1-base"),
+        ("theorem1", "example1-base"),
+        ("theorem2", "switched"),
+        ("row-stochastic", "example1-base"),
+    ])
+    def test_default_scenario(self, check, default, tmp_path):
+        expected = check_scenario(check, builtin_scenario(default))
+        assert check_scenario(check) == expected
+        assert main(["verify", check, "--out", str(tmp_path)]) == (0 if expected.passed else 1)
+        assert json.loads((tmp_path / f"{check}.json").read_text()) == expected.to_json_dict()
+
+    def test_leader_pull_default_is_example_one_pull(self, tmp_path):
+        base = example_one("base")
+        expected = leader_pull_monotonicity(base.topology(1), EXAMPLE_ONE_PULL_LINKS,
+                                            base.leaders)
+        assert check_scenario("leader-pull") == expected
+        assert main(["verify", "leader-pull", "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "leader-pull.json").read_text()) == expected.to_json_dict()
+
     @pytest.mark.parametrize("check", ["leader-pull", "nope"])
     def test_rejects_checks_that_take_no_scenario(self, check):
         with pytest.raises(ValueError):
@@ -428,6 +452,66 @@ class TestCampaigns:
     def test_passing_campaign_has_no_failed_trial(self):
         rep = run_random_campaign("lemma1", 8, seed=3)
         assert [label for label, _ in rep.measured] == ["trials", "failures", "max_abs_lambda1"]
+
+
+def tracked_oracle(check: str, rng, i: int) -> dict[str, float]:
+    """The values a campaign tracks for trial i, from direct check_* calls."""
+    if check == "lemma1":
+        rep = check_lemma1(sampling.random_graph(rng))
+        return {"max_abs_lambda1": abs(rep.value("lambda1"))}
+    if check == "lemma2":
+        rep = check_lemma2(sampling.random_topology(rng, linked=i % 2 == 0))
+        if rep.value("leader_connected"):
+            return {"min_lambda_min_connected": rep.value("lambda_min")}
+        return {"max_lambda_min_disconnected": rep.value("lambda_min")}
+    if check == "theorem1":
+        rep = check_theorem1(sampling.settle_scenario(rng, connected=i % 2 == 0))
+        if rep.value("leader_connected"):
+            return {"max_dev_from_equilibrium": rep.value("max_dev_from_equilibrium")}
+        return {"min_final_d_xi_disconnected": rep.value("final_d_xi")}
+    if check == "theorem2":
+        rep = check_theorem2(sampling.random_switched_scenario(rng))
+        return {"max_envelope_ratio": rep.value("max_envelope_ratio")}
+    if check == "row-stochastic":
+        rep = check_row_stochastic(sampling.random_connected_topology(rng))
+        return {"min_weight": rep.value("min_weight"),
+                "max_row_sum_error": rep.value("max_row_sum_error")}
+    assert check == "leader-pull"
+    base, extra, leaders = sampling.random_leader_pull_case(rng)
+    return {"min_decrease": leader_pull_monotonicity(base, extra, leaders).value("decrease")}
+
+
+class TestCampaignTable:
+    @pytest.mark.parametrize("check", CHECK_NAMES)
+    def test_tracked_extremes_match_direct_checks(self, check):
+        seed, trials = 4, 6
+        rep = run_random_campaign(check, trials, seed)
+        values: dict[str, list[float]] = {}
+        for i in range(trials):
+            for label, v in tracked_oracle(check, sampling.rng_for(seed, i), i).items():
+                values.setdefault(label, []).append(v)
+        tracked = {label: v for label, v in rep.measured
+                   if label not in ("trials", "failures", "first_failed_trial")}
+        assert all(label.startswith(("max_", "min_")) for label in tracked)
+        assert tracked == {label: (max if label.startswith("max_") else min)(vs)
+                           for label, vs in values.items()}
+
+    def test_leader_pull_case_keeps_its_draw_order(self):
+        rng = sampling.rng_for(9, 2)
+        base = sampling.random_connected_topology(rng, k=2)
+        q = int(rng.integers(1, 3))
+        adds = {}
+        for agent in range(1, base.graph.n + 1):
+            if rng.random() < 0.4:
+                adds[agent] = float(rng.uniform(0.5, 2.0))
+        if not adds:
+            adds[int(rng.integers(1, base.graph.n + 1))] = 1.0
+        m = int(rng.integers(1, 4))
+        positions = rng.uniform(0.0, 2.0, size=(2, m))
+        got_base, extra, leaders = sampling.random_leader_pull_case(sampling.rng_for(9, 2))
+        assert got_base == base
+        assert extra.links == tuple((a, q, w) for a, w in sorted(adds.items()))
+        np.testing.assert_array_equal(leaders.positions, positions)
 
 
 def count_eig_calls(monkeypatch) -> dict[str, int]:

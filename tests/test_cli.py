@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -12,6 +13,7 @@ from conftest import plot_data_oracle, polygon_distance
 
 import containment
 import containment.cli
+from containment.analysis import CHECK_NAMES
 from containment.builtin import example_one, example_two
 from containment.cli import main
 from containment.scenario_io import read_trajectory, scenario_to_dict, write_scenario
@@ -253,9 +255,13 @@ class TestVerify:
         assert main(["verify", "row-stochastic", "--scenario", "builtin:necessity",
                      "--out", str(tmp_path)]) == 2
 
-    def test_leader_pull_rejects_scenario(self, tmp_path):
+    def test_leader_pull_rejects_scenario(self, example_file, tmp_path, capsys):
         assert main(["verify", "leader-pull", "--scenario", "builtin:example1-base",
                      "--out", str(tmp_path)]) == 2
+        assert main(["verify", "leader-pull", "--scenario", example_file,
+                     "--out", str(tmp_path)]) == 2
+        assert "runs only on its bundled instance" in capsys.readouterr().err
+        assert not (tmp_path / "leader-pull.txt").exists()
 
     def test_failed_check_exits_1(self, tmp_path):
         short = dataclasses.replace(example_one("base"), t_final=1.0)
@@ -351,6 +357,14 @@ class TestParser:
         assert main(["verify", "-h"]) == 0
         assert "exactly one of CHECK and --check" in " ".join(capsys.readouterr().out.split())
 
+    def test_verify_check_choices_are_the_check_catalog(self):
+        sub = next(a for a in containment.cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        verify = sub.choices["verify"]
+        choices = {a.dest: tuple(a.choices) for a in verify._actions
+                   if a.dest in ("check", "check_opt")}
+        assert choices == {"check": CHECK_NAMES, "check_opt": CHECK_NAMES}
+
     def test_scenario_and_random_conflict_exits_2(self, tmp_path, capsys):
         assert main(["verify", "theorem1", "--scenario", "builtin:necessity",
                      "--random", "2", "--out", str(tmp_path)]) == 2
@@ -366,6 +380,13 @@ class TestExitCodes:
                      "--scenario", unstable_file]) == 3
         assert not out.exists()
         assert "unstable" in capsys.readouterr().err
+
+    def test_leader_pull_with_invalid_scenario_exits_3(self, unstable_file, tmp_path, capsys):
+        # the scenario is loaded, and found invalid, before the check rejects it
+        assert main(["verify", "leader-pull", "--scenario", unstable_file,
+                     "--out", str(tmp_path)]) == 3
+        assert "unstable" in capsys.readouterr().err
+        assert not (tmp_path / "leader-pull.txt").exists()
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--scenario", "builtin:example1-base", "--t-final", "1.0"],
