@@ -181,9 +181,9 @@ def check_theorem1(s: Scenario) -> VerificationReport:
     components are checked to settle on the in-component means of their
     initial states, keeping the distance certificate above a positive floor.
     """
-    if len(s.schedule.entries) != 1:
+    if len(s.segments) != 1:
         raise ValueError("fixed-topology check requires a single-entry schedule")
-    pid = s.schedule.entries[0][1]
+    pid = s.segments[0][2]
     topo = s.topology(pid)
     final = terminal_state(s)
     d_final = d_xi(final, s.leaders)
@@ -255,7 +255,7 @@ def check_theorem2(s: Scenario) -> VerificationReport:
     for pid, topo in s.topologies:
         if not is_bar_connected(topo):
             raise NotAllConnectedError(f"topology {pid} has a leaderless component")
-    scheduled = {pid for _, pid in s.schedule.entries}
+    scheduled = {pid for _, _, pid in s.segments}
     lam1 = min(float(s.topology(pid).spectrum[0][0]) for pid in scheduled)
     traj = simulate(s)
     d = traj.d_xi

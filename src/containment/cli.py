@@ -61,6 +61,8 @@ def _fail(msg: str, code: int) -> int:
 
 
 def _load_scenario_arg(value: str, **overrides) -> Scenario:
+    if not value:
+        raise ValueError("--scenario is empty: give a scenario file path or builtin:<name>")
     if not value.startswith("builtin:"):
         return load_scenario(value, **overrides)
     s = builtin_scenario(value[len("builtin:"):])
@@ -140,7 +142,7 @@ def cmd_verify(args) -> int:
     if args.random is not None:
         report = run_random_campaign(check, args.random, args.seed)
     else:
-        s = _load_scenario_arg(args.scenario) if args.scenario else None
+        s = None if args.scenario is None else _load_scenario_arg(args.scenario)
         report = check_scenario(check, s)
     txt_path, _ = write_report(report, args.out)
     print(report.to_text())

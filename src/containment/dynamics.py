@@ -8,8 +8,9 @@ leaders it senses. Stacked over agents the flow is linear,
 so the closed-form equilibrium is available from one SPD solve per topology
 and long-horizon integration doubles as an independent check of it. H is
 ``graph.build_h``, re-exported here. The integrator is classical fixed-step
-RK4; switching times must sit on the step grid so trajectories are
-bit-reproducible.
+RK4. A ``Scenario`` decides its start, switches and horizon on the step
+grid once, with one tolerance relative to dt, and every reader takes the
+resulting ``segments``, so trajectories are bit-reproducible.
 
 On a switching segment the flow is linear and time-invariant, so one RK4
 step is the matrix map x -> r(-dt H) x + dt p(-dt H) f with
@@ -34,7 +35,7 @@ last step only, chaining segment ends, and lands on the same bits as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,12 +75,18 @@ class SwitchingSchedule:
         return tuple(t for t, _ in self.entries)
 
 
+def _rk4_p(z):
+    """p(z) of RK4's stability polynomial r(z) = 1 + z p(z)."""
+    return 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0
+
+
 def _grid_steps(span: float, dt: float, what: str) -> int:
     r = span / dt
-    steps = round(r)
-    if abs(r - steps) > GRID_REL_TOL:
+    if not np.isfinite(r):
+        raise ScenarioError(f"{what} {span} is not a finite number of steps of dt={dt}")
+    if abs(r - round(r)) > GRID_REL_TOL:
         raise ScenarioError(f"{what} {span} is not a multiple of dt={dt}")
-    return int(steps)
+    return round(r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,11 +94,10 @@ class Scenario:
     """A full experiment: initial states, leaders, topology library, schedule.
 
     ``topologies`` maps integer ids to Topology values; the schedule refers
-    to those ids. Construction validates dimensional consistency, grid
-    alignment of every switching time, a dwell of at least one step, and
-    RK4 stability of the step size on every scheduled topology, which
-    reads lambda_max from ``Topology.spectrum``; ``simulate`` and the
-    theorem checks read the same cached decomposition.
+    to those ids. Construction validates dimensional consistency, puts the
+    horizon and every switching time on the step grid once, as ``segments``
+    of (first step, last step, topology id), and checks RK4 stability of dt
+    on every scheduled topology from lambda_max of ``Topology.spectrum``.
     """
 
     m: int
@@ -103,6 +109,7 @@ class Scenario:
     t_final: float
     t0: float = 0.0
     notes: str = ""
+    segments: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 1:
@@ -140,30 +147,31 @@ class Scenario:
         object.__setattr__(self, "t0", float(self.t0))
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ScenarioError("dt must be positive")
+        if not np.isfinite(self.t0):
+            raise ScenarioError("t0 must be finite")
         if not (np.isfinite(self.t_final) and self.t_final > self.t0):
             raise ScenarioError("t_final must exceed t0")
-        _grid_steps(self.t_final - self.t0, self.dt, "horizon")
+        steps = _grid_steps(self.t_final - self.t0, self.dt, "horizon")
         times = self.schedule.times
-        if abs(times[0] - self.t0) > 1e-9:
+        starts = [_grid_steps(t - self.t0, self.dt, "switch time offset") for t in times]
+        if starts[0] != 0:
             raise ScenarioError(f"schedule must start at t0={self.t0}, got {times[0]}")
-        known = set(ids)
-        for t, pid in self.schedule.entries:
-            if pid not in known:
-                raise ScenarioError(f"schedule uses unknown topology id {pid}")
-            if t >= self.t_final:
-                raise ScenarioError(f"switch at {t} is at or after the horizon")
-            _grid_steps(t - self.t0, self.dt, "switch time offset")
-        for ta, tb in zip(times, times[1:]):
-            if tb - ta < self.dt - 1e-9:
+        for ta, tb, a, b in zip(times, times[1:], starts, starts[1:]):
+            if b <= a:
                 raise ScenarioError(f"dwell {tb - ta} is shorter than one step")
-        for pid in sorted({pid for _, pid in self.schedule.entries}):
-            # only lambda_max is tested: a leaderless block's zero eigenvalue
-            # can come out as -1e-17, whose |r| exceeds 1 by rounding
+        if starts[-1] >= steps:
+            raise ScenarioError(f"switch at {times[-1]} is at or after the horizon")
+        segments = tuple(zip(starts, starts[1:] + [steps], [p for _, p in self.schedule.entries]))
+        object.__setattr__(self, "segments", segments)
+        for pid in sorted({pid for _, _, pid in segments}):
+            if pid not in ids:
+                raise ScenarioError(f"schedule uses unknown topology id {pid}")
+            # |r(-dt*lambda)| <= 1 holds exactly for 0 <= dt*lambda <= 2.785, so
+            # lambda_max decides; a leaderless block's zero eigenvalue can come
+            # out as -1e-17, whose |r| exceeds 1 by rounding
             lam_max = float(self.topology(pid).spectrum[0][-1])
             z = -self.dt * lam_max
-            # RK4 amplification |r(-dt*lambda)| <= 1 holds exactly for
-            # 0 <= dt*lambda <= 2.785, so lambda_max decides for every mode
-            if abs(1.0 + z + z * z / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0) > 1.0:
+            if abs(1.0 + z * _rk4_p(z)) > 1.0:
                 raise ScenarioError(
                     f"dt={self.dt} is unstable for RK4 on topology {pid} "
                     f"(dt * lambda_max = {-z:.4g}); use dt <= {2.5 / lam_max:.3g}"
@@ -181,7 +189,7 @@ class Scenario:
 
     @property
     def step_count(self) -> int:
-        return _grid_steps(self.t_final - self.t0, self.dt, "horizon")
+        return self.segments[-1][1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,9 +227,7 @@ def _forcing(t: Topology, leaders: LeaderSet) -> np.ndarray:
 
 def _check_pair(t: Topology, leaders: LeaderSet):
     if t.leaders.k != leaders.k:
-        raise ValueError(
-            f"topology links {t.leaders.k} leaders but {leaders.k} positions given"
-        )
+        raise ValueError(f"topology links {t.leaders.k} leaders but {leaders.k} positions given")
 
 
 def _segment(out: np.ndarray, x0: np.ndarray, steps, lam: np.ndarray,
@@ -231,7 +237,7 @@ def _segment(out: np.ndarray, x0: np.ndarray, steps, lam: np.ndarray,
     states flattened agent-major."""
     n, m = f.shape
     z = -dt * lam
-    p = 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0
+    p = _rk4_p(z)
     zp = z * p  # r - 1 without the cancellation
     log_r = np.log1p(zp)
     moving = zp != 0.0
@@ -247,13 +253,6 @@ def _segment(out: np.ndarray, x0: np.ndarray, steps, lam: np.ndarray,
         out[i : i + len(j)] = (v @ y).reshape(len(j), n * m)
 
 
-def _segments(s: Scenario):
-    """(first step, last step, topology id) of each switching segment."""
-    starts = [round((t - s.t0) / s.dt) for t in s.schedule.times]
-    ids = [pid for _, pid in s.schedule.entries]
-    return zip(starts, starts[1:] + [s.step_count], ids)
-
-
 def simulate(s: Scenario) -> Trajectory:
     """Integrate the scenario and record state, active topology, and the
     containment certificate at every grid time.
@@ -266,7 +265,7 @@ def simulate(s: Scenario) -> Trajectory:
     active = np.empty(steps + 1, dtype=int)
     states = np.empty((steps + 1, s.n * s.m))
     states[0] = s.x_init.ravel()
-    for a, b, pid in _segments(s):
+    for a, b, pid in s.segments:
         topo = s.topology(pid)
         _segment(states[a + 1 : b + 1], states[a], np.arange(1, b - a + 1),
                  *topo.spectrum, _forcing(topo, s.leaders), s.dt)
@@ -287,7 +286,7 @@ def terminal_state(s: Scenario) -> np.ndarray:
     not with the number of steps.
     """
     x = s.x_init.ravel()
-    for a, b, pid in _segments(s):
+    for a, b, pid in s.segments:
         topo = s.topology(pid)
         end = np.empty((1, s.n * s.m))
         _segment(end, x, [b - a], *topo.spectrum, _forcing(topo, s.leaders), s.dt)

@@ -12,6 +12,7 @@ writers share the result, which lives as long as the trajectory does.
 from __future__ import annotations
 
 import json
+import math
 import weakref
 from pathlib import Path
 
@@ -44,7 +45,13 @@ def _as_int(v, where: str) -> int:
 def _as_float(v, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _err(where, f"expected a number, got {v!r}")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf if v > 0 else -math.inf
+    if not math.isfinite(x):
+        _err(where, f"non-finite number {x} is not allowed")
+    return x
 
 
 def _as_list(v, where: str) -> list:

@@ -11,10 +11,12 @@ cyclic Jacobi rotations (production calls LAPACK through
 numpy.linalg.eigvalsh), the trajectory oracle steps RK4 in a loop
 (production evaluates the RK4 recurrence in closed form per eigenmode), and
 the file-text oracles format one f-string per cell, row by row (production
-formats each column block with one ``%`` and shares it between writers).
+formats each column block with one ``%`` and shares it between writers),
+and the segment oracle, which the trajectory oracle steps through, rounds
+each schedule time to the dt grid (production validates the grid once and
+keeps ``Scenario.segments``).
 """
 
-import bisect
 import itertools
 
 import numpy as np
@@ -153,6 +155,15 @@ def jacobi_eigenvalues(m, tol=1e-12, max_sweeps=100):
     raise ArithmeticError("Jacobi eigensolve did not converge")
 
 
+def grid_segments(s):
+    """(first step, last step, topology id) of each schedule entry of ``s``,
+    derived from its times by rounding to the dt grid, apart from
+    ``Scenario.segments``."""
+    starts = [round((t - s.t0) / s.dt) for t in s.schedule.times]
+    ends = starts[1:] + [round((s.t_final - s.t0) / s.dt)]
+    return [(a, b, pid) for a, b, (_, pid) in zip(starts, ends, s.schedule.entries)]
+
+
 def rk4_loop(s):
     """States of ``simulate(s)`` by stepping classical RK4 one step at a time.
 
@@ -165,19 +176,18 @@ def rk4_loop(s):
 
     mats = {pid: (build_h(t), link_weights(t) @ s.leaders.positions)
             for pid, t in s.topologies}
-    switch_steps = [round((t - s.t0) / s.dt) for t in s.schedule.times]
-    ids = [pid for _, pid in s.schedule.entries]
     dt = s.dt
     pts = np.array(s.x_init, dtype=float)
     states = [pts.ravel()]
-    for j in range(s.step_count):
-        h, f = mats[ids[bisect.bisect_right(switch_steps, j) - 1]]
-        k1 = f - h @ pts
-        k2 = f - h @ (pts + 0.5 * dt * k1)
-        k3 = f - h @ (pts + 0.5 * dt * k2)
-        k4 = f - h @ (pts + dt * k3)
-        pts = pts + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        states.append(pts.ravel())
+    for a, b, pid in grid_segments(s):
+        h, f = mats[pid]
+        for _ in range(a, b):
+            k1 = f - h @ pts
+            k2 = f - h @ (pts + 0.5 * dt * k1)
+            k3 = f - h @ (pts + 0.5 * dt * k2)
+            k4 = f - h @ (pts + dt * k3)
+            pts = pts + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            states.append(pts.ravel())
     return np.array(states)
 
 

@@ -388,6 +388,37 @@ class TestExitCodes:
         assert "unstable" in capsys.readouterr().err
         assert not (tmp_path / "leader-pull.txt").exists()
 
+    def test_overflowing_number_in_file_exits_2(self, tmp_path, capsys):
+        doc = scenario_to_dict(example_one("base"))
+        doc["agents"][0]["position"][0] = "OVERFLOW"
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc).replace('"OVERFLOW"', "1e400"))
+        assert main(["simulate", "--scenario", str(path),
+                     "--out", str(tmp_path / "t.csv")]) == 2
+        assert "agents[0].position[0]: non-finite number" in capsys.readouterr().err
+
+    def test_overflowing_span_exits_3(self, tmp_path, capsys):
+        # the horizon from t0 = -1e308 to t_final = 1e308 overflows to inf
+        doc = scenario_to_dict(example_one("base")) | {"t0": -1e308, "t_final": 1e308}
+        path = tmp_path / "span.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "theorem1", "--scenario", str(path),
+                     "--out", str(tmp_path)]) == 3
+        assert "horizon inf is not a finite number of steps" in capsys.readouterr().err
+        assert not (tmp_path / "theorem1.txt").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "theorem2"],
+        ["simulate", "--out", "never.csv"],
+    ], ids=["verify", "simulate"])
+    def test_empty_scenario_exits_2(self, argv, tmp_path, capsys, monkeypatch):
+        # verify once ran its default scenario, and simulate read the directory "."
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--scenario", ""]) == 2
+        assert capsys.readouterr().err == (
+            "error: --scenario is empty: give a scenario file path or builtin:<name>\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--scenario", "builtin:example1-base", "--t-final", "1.0"],
         ["paper", "--example", "1"],

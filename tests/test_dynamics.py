@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import control_oracle, rk4_loop
+from conftest import control_oracle, grid_segments, rk4_loop
 
 from containment.builtin import (
     BUILTIN_SCENARIOS,
@@ -321,6 +322,33 @@ class TestScenarioValidation:
                 t_final=1.0,
             )
 
+    def test_start_checked_on_the_grid_at_small_dt(self):
+        # an absolute 1e-9 start test let a start five steps late through
+        with pytest.raises(ScenarioError, match="must start at t0"):
+            Scenario(m=1, x_init=[[0.0]], leaders=SOLO_LEADER, topologies=((1, SOLO),),
+                     schedule=SwitchingSchedule(((5e-10, 1),)), dt=1e-10, t_final=1e-8)
+
+    def test_switches_on_one_step_are_rejected(self):
+        # the second and third times round to the same step: a zero-step segment
+        entries = ((0.0, 1), (1e-10, 2), (1e-10 + 1e-17, 1))
+        with pytest.raises(ScenarioError, match="shorter than one step"):
+            Scenario(m=1, x_init=[[0.0]], leaders=SOLO_LEADER,
+                     topologies=((1, SOLO), (2, SOLO)),
+                     schedule=SwitchingSchedule(entries), dt=1e-10, t_final=1e-8)
+
+    def test_overflowing_horizon_is_rejected(self):
+        s = fixed(SOLO, [[0.0]], SOLO_LEADER)
+        with pytest.raises(ScenarioError, match="not a finite number of steps"):
+            dataclasses.replace(s, t0=-1e308, t_final=1e308)
+        with pytest.raises(ScenarioError, match="t0 must be finite"):
+            dataclasses.replace(s, t0=-math.inf)
+
+    def test_switch_at_horizon_is_rejected(self):
+        entries = ((0.0, 1), (1.0 - 1e-12, 1))
+        with pytest.raises(ScenarioError, match="at or after the horizon"):
+            Scenario(m=1, x_init=[[0.0]], leaders=SOLO_LEADER, topologies=((1, SOLO),),
+                     schedule=SwitchingSchedule(entries), dt=0.01, t_final=1.0)
+
 
 class TestEquilibrium:
     def test_solo(self):
@@ -415,3 +443,33 @@ class TestSimulate:
         traj = simulate(s)
         increases = np.diff(traj.d_xi) - 1e-9 * (1.0 + traj.d_xi[:-1])
         assert increases.max() <= 0.0
+
+
+def assert_segments_tile_the_grid(s):
+    """Segments run from step 0 to step_count, contiguous and each at least
+    one step long, as the rounded schedule times give them."""
+    segs = s.segments
+    assert segs[0][0] == 0 and segs[-1][1] == s.step_count
+    assert all(a < b for a, b, _ in segs)
+    assert all(b == a_next for (_, b, _), (a_next, _, _) in zip(segs, segs[1:]))
+    assert list(segs) == grid_segments(s)
+
+
+class TestSegments:
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_builtins(self, name):
+        assert_segments_tile_the_grid(builtin_scenario(name))
+
+    @given(seed=st.integers(0, 10**6), connected=st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_settle_scenarios(self, seed, connected):
+        assert_segments_tile_the_grid(settle_scenario(rng_for(seed), connected=connected))
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=50, deadline=None)
+    def test_switched_scenarios(self, seed):
+        assert_segments_tile_the_grid(random_switched_scenario(rng_for(seed)))
+
+    def test_chained_segments(self):
+        assert chained_scenario().segments == ((0, 1, 1), (1, 1 + _ROWS, 2),
+                                               (1 + _ROWS, 2 * _ROWS + 2, 1))

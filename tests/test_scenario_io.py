@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import weakref
 
 import numpy as np
@@ -107,6 +108,33 @@ class TestScenarioParsing:
         doc = scenario_to_dict(example_one("base"))
         text = json.dumps(doc).replace("50.0", "Infinity", 1)
         with pytest.raises(FileFormatError, match="Infinity"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400", "1" + "0" * 400],
+                             ids=["1e400", "-1e400", "400-digit-int"])
+    @pytest.mark.parametrize("path", [
+        ("t0",),
+        ("dt",),
+        ("t_final",),
+        ("schedule", 0, "t"),
+        ("agents", 1, "position", 0),
+        ("leaders", 0, "position", 0),
+        ("topologies", 0, "edges", 0, 2),
+        ("topologies", 0, "leader_links", 0, 2),
+    ], ids=lambda path: ".".join(map(str, path)))
+    def test_overflowing_number_names_its_key(self, path, literal):
+        # JSON reads 1e400 as inf and a 400-digit integer as an int that no
+        # float holds; both fail like the Infinity literal, at their key
+        doc = scenario_to_dict(example_one("base"))
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = "OVERFLOW"
+        text = json.dumps(doc).replace('"OVERFLOW"', literal)
+        where = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+        with pytest.raises(FileFormatError,
+                           match=re.escape(f"<scenario>{where}: non-finite number")):
             parse_scenario(text)
 
     def test_structural_error_is_scenario_error(self):
