@@ -7,7 +7,6 @@ numerical certification of the spectral and convergence guarantees.
 """
 
 from .analysis import (
-    NotAllConnectedError,
     VerificationReport,
     check_lemma1,
     check_lemma2,
@@ -48,6 +47,7 @@ from .geometry import (
 from .graph import (
     AgentGraph,
     LeaderLinks,
+    NotAllConnectedError,
     Topology,
     adjacency,
     components,
@@ -57,11 +57,7 @@ from .graph import (
     link_weights,
     merge_links,
 )
-from .linalg import (
-    NotPositiveDefiniteError,
-    solve_spd,
-    sym_eigenvalues,
-)
+from .linalg import sym_eigenvalues
 from .scenario_io import (
     FileFormatError,
     load_scenario,

@@ -23,11 +23,12 @@ import numpy as np
 
 from . import sampling
 from .builtin import EXAMPLE_ONE_PULL_LINKS, builtin_scenario
-from .dynamics import Scenario, build_h, equilibrium, simulate, terminal_state
+from .dynamics import Scenario, equilibrium, simulate, terminal_state
 from .geometry import LeaderSet, d_xi
 from .graph import (
     AgentGraph,
     LeaderLinks,
+    NotAllConnectedError,
     Topology,
     components,
     is_bar_connected,
@@ -36,13 +37,9 @@ from .graph import (
     link_weights,
     merge_links,
 )
-from .linalg import solve_spd, sym_eigenvalues
+from .linalg import sym_eigenvalues
 
 SPECTRAL_TOL = 1e-9
-
-
-class NotAllConnectedError(ValueError):
-    """A switched-decay check was asked to run with a disconnected topology."""
 
 
 @dataclass(frozen=True)
@@ -289,9 +286,13 @@ def check_theorem2(s: Scenario) -> VerificationReport:
 
 
 def check_row_stochastic(t: Topology) -> VerificationReport:
-    """Equilibrium weights are a row-stochastic map from leaders to agents."""
+    """Equilibrium weights are a row-stochastic map from leaders to agents.
+
+    W and H^-1 come from one ``t.solve``; a leaderless topology raises
+    NotAllConnectedError.
+    """
     n = t.graph.n
-    solved = solve_spd(build_h(t), np.hstack([link_weights(t), np.eye(n)]))
+    solved = t.solve(np.hstack([link_weights(t), np.eye(n)]))
     w, h_inv = solved[:, :-n], solved[:, -n:]
     min_w = float(w.min())
     row_err = float(np.abs(w.sum(axis=1) - 1.0).max())
@@ -317,12 +318,11 @@ def leader_pull_monotonicity(base: Topology, extra: LeaderLinks,
 
     ``extra`` may only contain links to a single leader; its weights add onto
     any existing links. The comparison is the mean over agents of the
-    Euclidean distance from the equilibrium position to that leader.
+    Euclidean distance from the equilibrium position to that leader. A
+    leaderless base raises NotAllConnectedError from ``equilibrium``.
     """
     if (extra.n, extra.k) != (base.graph.n, base.leaders.k):
         raise ValueError("extra links describe a different system")
-    if not is_bar_connected(base):
-        raise ValueError("base topology must be leader-connected")
     targets = {q for _, q, _ in extra.links}
     if len(targets) > 1:
         raise ValueError(f"extra links target several leaders: {sorted(targets)}")

@@ -14,7 +14,8 @@ Subcommands:
 
 Exit codes: 0 success/verified, 1 a verification check failed, 2 usage or
 parse error (argparse rejects conflicting arguments; a file that cannot be
-written), 3 structurally invalid scenario, whichever command loads it.
+written; a leaderless topology where a check needs a leader-connected one),
+3 structurally invalid scenario, whichever command loads it.
 ``main`` alone maps exceptions to these codes; the commands only raise.
 
 Anywhere a ``--scenario`` is accepted, ``builtin:<name>`` refers to a bundled
@@ -40,7 +41,6 @@ from .analysis import (
 from .builtin import EXAMPLE_ONE_PULL_LINKS, EXAMPLE_ONE_VARIANTS, builtin_scenario
 from .dynamics import Scenario, ScenarioError, equilibrium, simulate
 from .geometry import collinearity_residual, project_points
-from .linalg import NotPositiveDefiniteError
 from .scenario_io import (
     load_scenario,
     read_trajectory,
@@ -221,7 +221,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except ScenarioError as e:
         return _fail(str(e), EXIT_INVALID_SCENARIO)
-    except (ValueError, NotPositiveDefiniteError) as e:
+    except ValueError as e:
         return _fail(str(e), EXIT_USAGE)
     except OSError as e:
         # the readers wrap their own OSError in FileFormatError, so this is a write

@@ -5,8 +5,8 @@ leaders it senses. Stacked over agents the flow is linear,
 
     x' = -(H (x) I_m) x + forcing,    H = L + sum_q diag(b^q),
 
-so the closed-form equilibrium is available from one SPD solve per topology
-and long-horizon integration doubles as an independent check of it. H is
+so the closed-form equilibrium is one ``Topology.solve`` per topology, and
+long-horizon integration doubles as an independent check of it. H is
 ``graph.build_h``, re-exported here. The integrator is classical fixed-step
 RK4. A ``Scenario`` decides its start, switches and horizon on the step
 grid once, with one tolerance relative to dt, and every reader takes the
@@ -41,7 +41,6 @@ import numpy as np
 
 from .geometry import LeaderSet, project_points
 from .graph import Topology, build_h, link_weights
-from .linalg import solve_spd
 
 GRID_REL_TOL = 1e-6
 _ROWS = 64  # sample rows per block of the closed-form segment tables
@@ -262,8 +261,12 @@ def simulate(s: Scenario) -> Trajectory:
     previous segment's last row.
     """
     steps = s.step_count
-    active = np.empty(steps + 1, dtype=int)
-    states = np.empty((steps + 1, s.n * s.m))
+    try:
+        active = np.empty(steps + 1, dtype=int)
+        states = np.empty((steps + 1, s.n * s.m))
+    except (ValueError, MemoryError) as e:  # more rows than numpy allows, or than fit
+        raise ValueError(f"t_final={s.t_final} at dt={s.dt} is {steps:.4g} steps, "
+                         "too many to store as a trajectory") from e
     states[0] = s.x_init.ravel()
     for a, b, pid in s.segments:
         topo = s.topology(pid)
@@ -301,8 +304,9 @@ def equilibrium(t: Topology, leaders: LeaderSet):
     B the per-leader link-weight columns, and x_star = w @ positions. When
     every component is leader-connected, w is row stochastic, so each agent's
     limit is a convex combination of leader positions. A topology with a
-    leaderless component surfaces as NotPositiveDefiniteError from the solve.
+    leaderless component raises NotAllConnectedError from ``t.solve``. The
+    solve never reads ``t.spectrum``.
     """
     _check_pair(t, leaders)
-    w = solve_spd(build_h(t), link_weights(t))
+    w = t.solve(link_weights(t))
     return w, w @ leaders.positions

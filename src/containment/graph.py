@@ -6,8 +6,14 @@ is "leader-connected" when every component of the agent graph contains at
 least one agent with a direct link to some leader, i.e. the graph augmented
 with a single virtual node standing for all leaders is connected.
 
-A topology's composite matrix ``build_h`` is eigensolved once, on first
-read of ``Topology.spectrum``; every spectral consumer reads that one result.
+A topology's composite matrix H = ``build_h`` is used only through the
+topology: ``Topology.spectrum`` eigensolves it once, on first read, for every
+spectral consumer, and ``Topology.solve`` solves with it. H is positive
+definite exactly when the topology is leader-connected, since H is then an
+irreducibly diagonally dominant M-matrix on each component (Berman &
+Plemmons, Nonnegative Matrices in the Mathematical Sciences, ch. 6), so
+``solve`` decides solvability from the graph and raises
+``NotAllConnectedError`` for a leaderless topology.
 """
 
 from __future__ import annotations
@@ -18,6 +24,11 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import sym_eigh
+
+
+class NotAllConnectedError(ValueError):
+    """A check or solve needs a leader-connected topology and got one with a
+    leaderless component."""
 
 
 def _weighted_pairs(pairs, noun: str, shape: str, check) -> tuple[tuple[int, int, float], ...]:
@@ -127,6 +138,20 @@ class Topology:
         lam.setflags(write=False)
         v.setflags(write=False)
         return lam, v
+
+    def solve(self, rhs) -> np.ndarray:
+        """Solve ``build_h(self) @ x = rhs`` for a vector or matrix rhs.
+
+        Raises NotAllConnectedError, naming the leaderless components, when
+        H is singular because some component has no leader link.
+        """
+        comps = leaderless_components(self)
+        if comps:
+            names = ", ".join("{" + ", ".join(map(str, c)) + "}" for c in comps)
+            plural = "s" if len(comps) > 1 else ""
+            raise NotAllConnectedError(f"leaderless component{plural} {names}: "
+                                       "no leader link reaches these agents")
+        return np.linalg.solve(build_h(self), rhs)
 
 
 def adjacency(g: AgentGraph) -> np.ndarray:

@@ -270,8 +270,8 @@ class TestRowStochastic:
 
     @staticmethod
     def report_for_solution(monkeypatch, solved):
-        # one agent and two leaders: solve_spd returns [W | H^-1] as one row
-        monkeypatch.setattr(analysis, "solve_spd", lambda h, rhs: np.array(solved))
+        # one agent and two leaders: Topology.solve returns [W | H^-1] as one row
+        monkeypatch.setattr(Topology, "solve", lambda self, rhs: np.array(solved))
         t = Topology(AgentGraph(1), LeaderLinks(1, 2, ((1, 1, 1.0), (1, 2, 1.0))))
         return check_row_stochastic(t)
 
@@ -284,6 +284,21 @@ class TestRowStochastic:
         rep = self.report_for_solution(monkeypatch, [[0.5, 0.4, 0.5]])
         assert not rep.passed
         assert rep.value("max_row_sum_error") == pytest.approx(0.1)
+
+    def test_tiny_link_weight_is_a_verdict_not_an_error(self):
+        # agent 1 of a unit 1-2-3 chain links its leader with weight 1e-13:
+        # the topology is leader-connected, so the check reports, although the
+        # rounded H is too close to singular for unit row sums
+        t = Topology(path(3), LeaderLinks(3, 1, ((1, 1, 1e-13),)))
+        rep = check_row_stochastic(t)
+        assert rep.name == "row-stochastic"
+        assert rep.value("max_row_sum_error") > rep.tolerance
+        assert not rep.passed
+
+    def test_rejects_leaderless(self):
+        t = Topology(path(2), LeaderLinks(2, 1))
+        with pytest.raises(NotAllConnectedError, match=r"leaderless component \{1, 2\}"):
+            check_row_stochastic(t)
 
     def test_value_inside_tolerance_band_passes(self, monkeypatch):
         rep = self.report_for_solution(monkeypatch, [[0.5 + 5e-10, 0.5, 0.5]])
@@ -327,7 +342,7 @@ class TestLeaderPull:
 
     def test_rejects_disconnected_base(self):
         base = Topology(AgentGraph(2), LeaderLinks(2, 2, ((1, 1, 1.0),)))
-        with pytest.raises(ValueError):
+        with pytest.raises(NotAllConnectedError, match=r"leaderless component \{2\}"):
             leader_pull_monotonicity(base, LeaderLinks(2, 2), self.LEADERS)
 
 

@@ -38,6 +38,15 @@ def unstable_file(tmp_path):
 
 
 @pytest.fixture()
+def endless_file(tmp_path):
+    # 1e302 steps: more rows than numpy lets an array have, so nothing is allocated
+    doc = scenario_to_dict(example_one("base")) | {"t_final": 1e300}
+    path = tmp_path / "endless.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.fixture()
 def short_trajectory(tmp_path):
     path = tmp_path / "traj.csv"
     assert main(["simulate", "--scenario", "builtin:example1-base", "--out",
@@ -251,9 +260,14 @@ class TestVerify:
         assert main(["verify", "theorem1", "--scenario", "builtin:switched",
                      "--out", str(tmp_path)]) == 2
 
-    def test_row_stochastic_rejects_disconnected(self, tmp_path):
+    def test_row_stochastic_rejects_disconnected(self, tmp_path, capsys):
         assert main(["verify", "row-stochastic", "--scenario", "builtin:necessity",
                      "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: leaderless component {4, 5}: "
+                       "no leader link reaches these agents\n")
+        assert not (tmp_path / "row-stochastic.txt").exists()
 
     def test_leader_pull_rejects_scenario(self, example_file, tmp_path, capsys):
         assert main(["verify", "leader-pull", "--scenario", "builtin:example1-base",
@@ -406,6 +420,47 @@ class TestExitCodes:
                      "--out", str(tmp_path)]) == 3
         assert "horizon inf is not a finite number of steps" in capsys.readouterr().err
         assert not (tmp_path / "theorem1.txt").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--out", "never.csv"],
+        ["verify", "theorem2", "--out", "reports"],
+    ], ids=["simulate", "verify-theorem2"])
+    def test_horizon_too_long_to_store_exits_2(self, argv, endless_file, tmp_path,
+                                               capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--scenario", endless_file]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: t_final=1e+300 at dt=0.01 is 1e+302 steps, "
+                       "too many to store as a trajectory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["endless.json"]
+
+    def test_horizon_too_large_to_allocate_exits_2(self, tmp_path, capsys, monkeypatch):
+        # 1e16 steps fit numpy's dimension limit, so the allocation itself fails;
+        # the stand-in raises as numpy would and asks the system for nothing
+        doc = scenario_to_dict(example_one("base")) | {"t_final": 1e14}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        empty = np.empty
+
+        def refuse_large(shape, *args, **kwargs):
+            if np.prod(shape, dtype=object) > 10**9:
+                raise MemoryError(f"Unable to allocate an array with shape {shape}")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refuse_large)
+        assert main(["simulate", "--scenario", str(path),
+                     "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: t_final=100000000000000.0 at dt=0.01 is 1e+16 steps, "
+            "too many to store as a trajectory\n")
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_horizon_too_long_to_store_still_certifies_theorem1(self, endless_file,
+                                                                tmp_path):
+        # theorem 1 reads only the terminal state, which costs O(segments)
+        assert main(["verify", "theorem1", "--scenario", endless_file,
+                     "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("argv", [
         ["verify", "theorem2"],

@@ -27,8 +27,13 @@ from containment.dynamics import (
     terminal_state,
 )
 from containment.geometry import LeaderSet
-from containment.graph import AgentGraph, LeaderLinks, Topology, link_weights
-from containment.linalg import NotPositiveDefiniteError, sym_eigenvalues
+from containment.graph import (
+    AgentGraph,
+    LeaderLinks,
+    NotAllConnectedError,
+    Topology,
+    link_weights,
+)
 from containment.sampling import (
     random_connected_topology,
     random_switched_scenario,
@@ -371,7 +376,7 @@ class TestEquilibrium:
 
     def test_disconnected_raises(self):
         t = Topology(AgentGraph(2), LeaderLinks(2, 1, ((1, 1, 1.0),)))
-        with pytest.raises(NotPositiveDefiniteError):
+        with pytest.raises(NotAllConnectedError, match=r"leaderless component \{2\}"):
             equilibrium(t, SOLO_LEADER)
 
     def test_tiny_weights_keep_the_limit(self):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from containment.graph import (
     AgentGraph,
     LeaderLinks,
+    NotAllConnectedError,
     Topology,
     adjacency,
     build_h,
@@ -17,7 +18,12 @@ from containment.graph import (
     merge_links,
 )
 from containment.linalg import sym_eigenvalues
-from containment.sampling import random_graph, rng_for
+from containment.sampling import (
+    random_connected_topology,
+    random_graph,
+    random_topology,
+    rng_for,
+)
 
 
 def path(n, w=1.0):
@@ -204,3 +210,58 @@ class TestSpectrum:
             lam[0] = 0.0
         with pytest.raises(ValueError):
             v[0, 0] = 0.0
+
+
+def scaled(t, c):
+    """t with every edge and link weight multiplied by c, so H and B scale by c."""
+    return Topology(
+        AgentGraph(t.graph.n, tuple((i, j, c * w) for i, j, w in t.graph.edges)),
+        LeaderLinks(t.leaders.n, t.leaders.k,
+                    tuple((i, q, c * w) for i, q, w in t.leaders.links)),
+    )
+
+
+class TestSolve:
+    def test_hand_solution(self):
+        # H = [[2, -1], [-1, 1]], whose inverse is [[1, 1], [1, 2]]
+        t = Topology(path(2), LeaderLinks(2, 1, ((1, 1, 1.0),)))
+        np.testing.assert_allclose(t.solve([1.0, 0.0]), [1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(t.solve(np.eye(2)), [[1.0, 1.0], [1.0, 2.0]], atol=1e-12)
+
+    def test_rhs_shape_mismatch(self):
+        t = Topology(path(2), LeaderLinks(2, 1, ((1, 1, 1.0),)))
+        with pytest.raises(ValueError):
+            t.solve(np.ones(3))
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_roundtrip_random_connected(self, seed):
+        rng = rng_for(seed)
+        t = random_connected_topology(rng)
+        rhs = rng.normal(size=(t.graph.n, 2))
+        x = t.solve(rhs)
+        resid = np.abs(build_h(t) @ x - rhs).max()
+        assert resid <= 1e-9 * (1.0 + np.abs(rhs).max())
+
+    def test_leaderless_raises_naming_components(self):
+        t = Topology(AgentGraph(4, ((2, 3, 1.0),)), LeaderLinks(4, 1, ((1, 1, 1.0),)))
+        with pytest.raises(NotAllConnectedError) as e:
+            t.solve(np.ones(4))
+        assert str(e.value) == ("leaderless components {2, 3}, {4}: "
+                                "no leader link reaches these agents")
+        assert isinstance(e.value, ValueError)
+
+    def test_raises_iff_leaderless_at_any_weight_scale(self):
+        # the graph decides solvability, so the decision cannot depend on the
+        # weight scale (H and B are linear in the weights)
+        for trial in range(200):
+            t0 = random_topology(rng_for(7, trial), linked=trial % 2 == 0)
+            for scale in (1.0, 1e-13, 1e13):
+                t = scaled(t0, scale)
+                b = link_weights(t)
+                if leaderless_components(t):
+                    with pytest.raises(NotAllConnectedError):
+                        t.solve(b)
+                    continue
+                resid = np.abs(build_h(t) @ t.solve(b) - b).max()
+                assert resid <= 1e-9 * np.abs(build_h(t)).max(), (trial, scale)
