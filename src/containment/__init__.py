@@ -33,7 +33,6 @@ from .dynamics import (
     ScenarioError,
     SwitchingSchedule,
     Trajectory,
-    build_h,
     equilibrium,
     simulate,
     terminal_state,
@@ -50,11 +49,9 @@ from .graph import (
     NotAllConnectedError,
     Topology,
     adjacency,
+    build_h,
     components,
-    is_bar_connected,
     laplacian,
-    leaderless_components,
-    link_weights,
     merge_links,
 )
 from .linalg import sym_eigenvalues

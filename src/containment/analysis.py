@@ -28,13 +28,9 @@ from .geometry import LeaderSet, d_xi
 from .graph import (
     AgentGraph,
     LeaderLinks,
-    NotAllConnectedError,
     Topology,
     components,
-    is_bar_connected,
     laplacian,
-    leaderless_components,
-    link_weights,
     merge_links,
 )
 from .linalg import sym_eigenvalues
@@ -134,7 +130,7 @@ def check_lemma2(t: Topology) -> VerificationReport:
     """
     eigs = t.spectrum[0]
     lam_min, scale = float(eigs[0]), float(eigs[-1])
-    connected = is_bar_connected(t)
+    connected = not t.leaderless_components
     zero = SPECTRAL_TOL * scale
     ok = lam_min > zero if connected else lam_min <= zero
     return VerificationReport(
@@ -160,7 +156,7 @@ def _disconnected_prediction(t: Topology, x_init: np.ndarray, leaders: LeaderSet
     per-component means of the initial states."""
     agents: list[int] = []
     targets: list[np.ndarray] = []
-    for comp in leaderless_components(t):
+    for comp in t.leaderless_components:
         idx = [i - 1 for i in comp]
         agents.extend(idx)
         targets.extend([x_init[idx].mean(axis=0)] * len(idx))
@@ -184,7 +180,7 @@ def check_theorem1(s: Scenario) -> VerificationReport:
     topo = s.topology(pid)
     final = terminal_state(s)
     d_final = d_xi(final, s.leaders)
-    if is_bar_connected(topo):
+    if not topo.leaderless_components:
         _, x_star = equilibrium(topo, s.leaders)
         dev = float(np.abs(final - x_star).max())
         lam_min = float(topo.spectrum[0][0])
@@ -250,8 +246,7 @@ def check_theorem2(s: Scenario) -> VerificationReport:
     eigenvalue over the topologies the schedule actually uses.
     """
     for pid, topo in s.topologies:
-        if not is_bar_connected(topo):
-            raise NotAllConnectedError(f"topology {pid} has a leaderless component")
+        topo.require_leader_connected(f"topology {pid}: ")
     scheduled = {pid for _, _, pid in s.segments}
     lam1 = min(float(s.topology(pid).spectrum[0][0]) for pid in scheduled)
     traj = simulate(s)
@@ -292,7 +287,7 @@ def check_row_stochastic(t: Topology) -> VerificationReport:
     NotAllConnectedError.
     """
     n = t.graph.n
-    solved = t.solve(np.hstack([link_weights(t), np.eye(n)]))
+    solved = t.solve(np.hstack([t.link_weights, np.eye(n)]))
     w, h_inv = solved[:, :-n], solved[:, -n:]
     min_w = float(w.min())
     row_err = float(np.abs(w.sum(axis=1) - 1.0).max())

@@ -7,10 +7,11 @@ leaders it senses. Stacked over agents the flow is linear,
 
 so the closed-form equilibrium is one ``Topology.solve`` per topology, and
 long-horizon integration doubles as an independent check of it. H is
-``graph.build_h``, re-exported here. The integrator is classical fixed-step
-RK4. A ``Scenario`` decides its start, switches and horizon on the step
-grid once, with one tolerance relative to dt, and every reader takes the
-resulting ``segments``, so trajectories are bit-reproducible.
+``graph.build_h``, and the forcing is ``Topology.link_weights`` times the
+leader positions. The integrator is classical fixed-step RK4. A
+``Scenario`` decides its start, switches and horizon on the step grid once,
+with one tolerance relative to dt, and every reader takes the resulting
+``segments``, so trajectories are bit-reproducible.
 
 On a switching segment the flow is linear and time-invariant, so one RK4
 step is the matrix map x -> r(-dt H) x + dt p(-dt H) f with
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import LeaderSet, project_points
-from .graph import Topology, build_h, link_weights
+from .graph import Topology
 
 GRID_REL_TOL = 1e-6
 _ROWS = 64  # sample rows per block of the closed-form segment tables
@@ -219,16 +220,6 @@ class Trajectory:
         return self.states[-1].reshape(self.n, self.m)
 
 
-def _forcing(t: Topology, leaders: LeaderSet) -> np.ndarray:
-    # (n, m): row i is sum_q b_i^q x0^q
-    return link_weights(t) @ leaders.positions
-
-
-def _check_pair(t: Topology, leaders: LeaderSet):
-    if t.leaders.k != leaders.k:
-        raise ValueError(f"topology links {t.leaders.k} leaders but {leaders.k} positions given")
-
-
 def _segment(out: np.ndarray, x0: np.ndarray, steps, lam: np.ndarray,
              v: np.ndarray, f: np.ndarray, dt: float):
     """Write into out[i] the RK4 iterate steps[i] steps on from x0 of
@@ -271,7 +262,7 @@ def simulate(s: Scenario) -> Trajectory:
     for a, b, pid in s.segments:
         topo = s.topology(pid)
         _segment(states[a + 1 : b + 1], states[a], np.arange(1, b - a + 1),
-                 *topo.spectrum, _forcing(topo, s.leaders), s.dt)
+                 *topo.spectrum, topo.link_weights @ s.leaders.positions, s.dt)
         active[a : b + 1] = pid
     times = s.t0 + s.dt * np.arange(steps + 1)
     sq = project_points(states.reshape(-1, s.m), s.leaders)
@@ -292,7 +283,8 @@ def terminal_state(s: Scenario) -> np.ndarray:
     for a, b, pid in s.segments:
         topo = s.topology(pid)
         end = np.empty((1, s.n * s.m))
-        _segment(end, x, [b - a], *topo.spectrum, _forcing(topo, s.leaders), s.dt)
+        _segment(end, x, [b - a], *topo.spectrum, topo.link_weights @ s.leaders.positions,
+                 s.dt)
         x = end[0]
     return x.reshape(s.n, s.m)
 
@@ -307,6 +299,7 @@ def equilibrium(t: Topology, leaders: LeaderSet):
     leaderless component raises NotAllConnectedError from ``t.solve``. The
     solve never reads ``t.spectrum``.
     """
-    _check_pair(t, leaders)
-    w = t.solve(link_weights(t))
+    if t.leaders.k != leaders.k:
+        raise ValueError(f"topology links {t.leaders.k} leaders but {leaders.k} positions given")
+    w = t.solve(t.link_weights)
     return w, w @ leaders.positions

@@ -6,14 +6,16 @@ is "leader-connected" when every component of the agent graph contains at
 least one agent with a direct link to some leader, i.e. the graph augmented
 with a single virtual node standing for all leaders is connected.
 
-A topology's composite matrix H = ``build_h`` is used only through the
-topology: ``Topology.spectrum`` eigensolves it once, on first read, for every
-spectral consumer, and ``Topology.solve`` solves with it. H is positive
-definite exactly when the topology is leader-connected, since H is then an
+A ``Topology`` owns the data derived from it: its link weights and its
+leaderless components are cached properties, computed on first read, and
+``Topology.require_leader_connected`` alone raises ``NotAllConnectedError``.
+Its composite matrix H = ``build_h`` is used only through the topology:
+``Topology.spectrum`` eigensolves it once, on first read, for every spectral
+consumer, and ``Topology.solve`` solves with it. H is positive definite
+exactly when the topology is leader-connected, since H is then an
 irreducibly diagonally dominant M-matrix on each component (Berman &
 Plemmons, Nonnegative Matrices in the Mathematical Sciences, ch. 6), so
-``solve`` decides solvability from the graph and raises
-``NotAllConnectedError`` for a leaderless topology.
+``solve`` decides solvability from the graph.
 """
 
 from __future__ import annotations
@@ -139,19 +141,48 @@ class Topology:
         v.setflags(write=False)
         return lam, v
 
-    def solve(self, rhs) -> np.ndarray:
-        """Solve ``build_h(self) @ x = rhs`` for a vector or matrix rhs.
+    @cached_property
+    def link_weights(self) -> np.ndarray:
+        """Read-only (n, k) matrix of link weights; column q is the diagonal
+        of leader q's matrix B^q."""
+        b = np.zeros((self.graph.n, self.leaders.k))
+        for agent, leader, w in self.leaders.links:
+            b[agent - 1, leader - 1] = w
+        b.setflags(write=False)
+        return b
 
-        Raises NotAllConnectedError, naming the leaderless components, when
-        H is singular because some component has no leader link.
-        """
-        comps = leaderless_components(self)
+    @cached_property
+    def leaderless_components(self) -> tuple[tuple[int, ...], ...]:
+        """Components with no link to any leader; empty iff leader-connected."""
+        linked = self.leaders.linked_agents
+        return tuple(c for c in components(self.graph) if not any(i in linked for i in c))
+
+    def require_leader_connected(self, context: str = "") -> None:
+        """Raise NotAllConnectedError, prefixed by ``context`` and naming the
+        leaderless components, unless every component has a leader link."""
+        comps = self.leaderless_components
         if comps:
             names = ", ".join("{" + ", ".join(map(str, c)) + "}" for c in comps)
             plural = "s" if len(comps) > 1 else ""
-            raise NotAllConnectedError(f"leaderless component{plural} {names}: "
+            raise NotAllConnectedError(f"{context}leaderless component{plural} {names}: "
                                        "no leader link reaches these agents")
-        return np.linalg.solve(build_h(self), rhs)
+
+    def solve(self, rhs) -> np.ndarray:
+        """Solve ``build_h(self) @ x = rhs`` for a vector or matrix rhs.
+
+        Raises NotAllConnectedError for a leaderless topology, and ValueError
+        when H of a leader-connected topology is still singular in floating
+        point (a link weight lost against its agent's degree).
+        """
+        self.require_leader_connected()
+        try:
+            return np.linalg.solve(build_h(self), rhs)
+        except np.linalg.LinAlgError:
+            raise ValueError(
+                "composite matrix H is singular in floating point although every "
+                "component has a leader link; the smallest link weight is "
+                f"{min(w for _, _, w in self.leaders.links):.3g}"
+            ) from None
 
 
 def adjacency(g: AgentGraph) -> np.ndarray:
@@ -196,28 +227,9 @@ def components(g: AgentGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def is_bar_connected(t: Topology) -> bool:
-    """True iff every component of the agent graph has a leader-linked agent."""
-    return not leaderless_components(t)
-
-
-def leaderless_components(t: Topology) -> tuple[tuple[int, ...], ...]:
-    """Components with no link to any leader; ``is_bar_connected`` reads it."""
-    linked = t.leaders.linked_agents
-    return tuple(c for c in components(t.graph) if not any(i in linked for i in c))
-
-
-def link_weights(t: Topology) -> np.ndarray:
-    """(n, k) matrix of link weights; column q is the diagonal of leader q's matrix."""
-    b = np.zeros((t.graph.n, t.leaders.k))
-    for agent, leader, w in t.leaders.links:
-        b[agent - 1, leader - 1] = w
-    return b
-
-
 def build_h(t: Topology) -> np.ndarray:
     """Composite feedback matrix: Laplacian plus total link weight per agent."""
-    return laplacian(t.graph) + np.diag(link_weights(t).sum(axis=1))
+    return laplacian(t.graph) + np.diag(t.link_weights.sum(axis=1))
 
 
 def merge_links(a: LeaderLinks, b: LeaderLinks) -> LeaderLinks:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .dynamics import Scenario, SwitchingSchedule
 from .geometry import LeaderSet
-from .graph import AgentGraph, LeaderLinks, Topology, components, leaderless_components
+from .graph import AgentGraph, LeaderLinks, Topology, components
 
 WEIGHT_RANGE = (0.5, 2.0)
 
@@ -143,7 +143,7 @@ def _settle_rate(topo: Topology) -> float:
     slowest rate is the first eigenvalue past that many.
     """
     eig = topo.spectrum[0]
-    zeros = len(leaderless_components(topo))
+    zeros = len(topo.leaderless_components)
     return float(eig[zeros]) if zeros < len(eig) else 1.0
 
 
@@ -171,7 +171,7 @@ def settle_scenario(rng, connected: bool = True, n_max: int = 12, k_max: int = 4
     else:
         topo = random_topology(rng, linked=False, n_max=n_max, k=k)
         x_init = rng.uniform(0.0, 4.0, size=(topo.graph.n, m))
-        for comp in leaderless_components(topo):
+        for comp in topo.leaderless_components:
             for i in comp:
                 x_init[i - 1] = rng.uniform(3.5, 9.0, size=m)
     dt, steps = _integration_grid(topo)

@@ -6,7 +6,9 @@ the batch projection oracle solves every subset of at most m+1 vertices for
 all points at once (production runs Wolfe's algorithm and accepts a support
 by its optimality certificate), the polygon oracle measures distances to
 edges, the control oracle accumulates the neighbor sums agent by agent
-(production uses the assembled matrix form), the eigenvalue oracle runs
+(production uses the assembled matrix form), the leader-connectivity oracle
+propagates component labels along edges (production searches the graph
+once per topology and caches the result), the eigenvalue oracle runs
 cyclic Jacobi rotations (production calls LAPACK through
 numpy.linalg.eigvalsh), the trajectory oracle steps RK4 in a loop
 (production evaluates the RK4 recurrence in closed form per eigenmode), and
@@ -115,6 +117,31 @@ def control_oracle(x, topo, leader_positions):
     return u.ravel()
 
 
+def leaderless_components(t):
+    """Components of t's agent graph that no leader link reaches, as sorted
+    agent tuples ordered by smallest member."""
+    label = list(range(t.graph.n + 1))
+    changed = True
+    while changed:
+        changed = False
+        for i, j, _ in t.graph.edges:
+            low = min(label[i], label[j])
+            if label[i] != low or label[j] != low:
+                label[i] = label[j] = low
+                changed = True
+    linked = {label[i] for i, _, _ in t.leaders.links}
+    comps: dict[int, list[int]] = {}
+    for i in range(1, t.graph.n + 1):
+        if label[i] not in linked:
+            comps.setdefault(label[i], []).append(i)
+    return tuple(tuple(c) for _, c in sorted(comps.items()))
+
+
+def is_bar_connected(t):
+    """True iff every component of t's agent graph has a leader link."""
+    return not leaderless_components(t)
+
+
 def jacobi_eigenvalues(m, tol=1e-12, max_sweeps=100):
     """Eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi rotations.
 
@@ -171,10 +198,9 @@ def rk4_loop(s):
     active at the step's start, in matrix form (production evaluates the
     same recurrence in closed form from an eigendecomposition of H).
     """
-    from containment.dynamics import build_h
-    from containment.graph import link_weights
+    from containment.graph import build_h
 
-    mats = {pid: (build_h(t), link_weights(t) @ s.leaders.positions)
+    mats = {pid: (build_h(t), t.link_weights @ s.leaders.positions)
             for pid, t in s.topologies}
     dt = s.dt
     pts = np.array(s.x_init, dtype=float)

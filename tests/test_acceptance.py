@@ -10,13 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import projection_oracle
+from conftest import is_bar_connected, leaderless_components, projection_oracle
 
 from containment.analysis import check_theorem2, leader_pull_monotonicity
 from containment.builtin import example_one, example_one_topology, example_two, switched_demo
-from containment.dynamics import build_h, equilibrium, simulate
+from containment.dynamics import equilibrium, simulate
 from containment.geometry import collinearity_residual, project_points
-from containment.graph import LeaderLinks, components, is_bar_connected, laplacian, leaderless_components
+from containment.graph import LeaderLinks, build_h, components, laplacian
 from containment.linalg import sym_eigenvalues
 from containment.sampling import (
     random_graph,

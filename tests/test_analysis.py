@@ -8,7 +8,6 @@ import pytest
 from containment import analysis, sampling
 from containment.analysis import (
     CHECK_NAMES,
-    NotAllConnectedError,
     VerificationReport,
     check_lemma1,
     check_lemma2,
@@ -35,9 +34,8 @@ from containment.geometry import LeaderSet, d_xi
 from containment.graph import (
     AgentGraph,
     LeaderLinks,
+    NotAllConnectedError,
     Topology,
-    is_bar_connected,
-    leaderless_components,
 )
 
 
@@ -125,12 +123,12 @@ def theorem1_oracle(s) -> dict[str, float]:
     traj = simulate(s)
     topo = s.topology(s.schedule.entries[0][1])
     final, d_final = traj.final_state, float(traj.d_xi[-1])
-    if is_bar_connected(topo):
+    if not topo.leaderless_components:
         _, x_star = equilibrium(topo, s.leaders)
         dev = float(np.abs(final - x_star).max())
         return {"passed": d_final <= 0.5e-6 * s.n and dev <= 1e-3, "leader_connected": 1.0,
                 "final_d_xi": d_final, "max_dev_from_equilibrium": dev}
-    idx = [[i - 1 for i in comp] for comp in leaderless_components(topo)]
+    idx = [[i - 1 for i in comp] for comp in topo.leaderless_components]
     agents = [i for comp in idx for i in comp]
     targets = np.array([s.x_init[comp].mean(axis=0) for comp in idx for _ in comp])
     d_pred = d_xi(targets, s.leaders)

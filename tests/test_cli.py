@@ -47,6 +47,23 @@ def endless_file(tmp_path):
 
 
 @pytest.fixture()
+def lost_link_file(tmp_path):
+    # a unit 1-2-3 chain whose only leader link, 1e-16 on agent 1, vanishes
+    # against agent 1's degree when H's diagonal is formed in floating point
+    doc = scenario_to_dict(example_one("base")) | {
+        "m": 1, "t_final": 1.0, "dt": 0.1,
+        "agents": [{"id": i, "position": [float(i)]} for i in (1, 2, 3)],
+        "leaders": [{"id": 1, "position": [0.0]}],
+        "topologies": [{"id": 1, "edges": [[1, 2, 1.0], [2, 3, 1.0]],
+                        "leader_links": [[1, 1, 1e-16]]}],
+        "schedule": [{"t": 0.0, "topology": 1}],
+    }
+    path = tmp_path / "lost_link.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.fixture()
 def short_trajectory(tmp_path):
     path = tmp_path / "traj.csv"
     assert main(["simulate", "--scenario", "builtin:example1-base", "--out",
@@ -268,6 +285,18 @@ class TestVerify:
         assert err == ("error: leaderless component {4, 5}: "
                        "no leader link reaches these agents\n")
         assert not (tmp_path / "row-stochastic.txt").exists()
+
+    @pytest.mark.parametrize("check", ["row-stochastic", "theorem1"])
+    def test_singular_h_of_connected_topology_names_the_rounding(
+            self, check, lost_link_file, tmp_path, capsys):
+        assert main(["verify", check, "--scenario", lost_link_file,
+                     "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: composite matrix H is singular in floating point although "
+                       "every component has a leader link; the smallest link weight is "
+                       "1e-16\n")
+        assert not (tmp_path / f"{check}.txt").exists()
 
     def test_leader_pull_rejects_scenario(self, example_file, tmp_path, capsys):
         assert main(["verify", "leader-pull", "--scenario", "builtin:example1-base",
@@ -500,4 +529,5 @@ class TestExitCodes:
             capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 2
         assert done.stdout == ""
-        assert done.stderr == "error: topology 1 has a leaderless component\n"
+        assert done.stderr == ("error: topology 1: leaderless component {4, 5}: "
+                               "no leader link reaches these agents\n")

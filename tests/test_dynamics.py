@@ -21,7 +21,6 @@ from containment.dynamics import (
     Scenario,
     ScenarioError,
     SwitchingSchedule,
-    build_h,
     equilibrium,
     simulate,
     terminal_state,
@@ -32,7 +31,7 @@ from containment.graph import (
     LeaderLinks,
     NotAllConnectedError,
     Topology,
-    link_weights,
+    build_h,
 )
 from containment.sampling import (
     random_connected_topology,
@@ -74,7 +73,7 @@ class TestBuildH:
 def matrix_form(x, topo, leaders):
     """The velocity simulate integrates, B x0 - H x, stacked agent-major."""
     pts = np.asarray(x, dtype=float).reshape(topo.graph.n, leaders.m)
-    return (link_weights(topo) @ leaders.positions - build_h(topo) @ pts).ravel()
+    return (topo.link_weights @ leaders.positions - build_h(topo) @ pts).ravel()
 
 
 class TestControl:
@@ -201,7 +200,7 @@ class TestClosedForm:
         # the chosen steps fall in different _ROWS blocks of the full evaluation
         topo = example_one_topology("base")
         lam, v = topo.spectrum
-        f = link_weights(topo) @ np.array([[1.0, 0.0], [2.0, 1.0]])
+        f = topo.link_weights @ np.array([[1.0, 0.0], [2.0, 1.0]])
         x0 = np.linspace(5.0, 7.0, 10)  # 5 agents in R^2, agent-major
 
         def evaluate(steps):

@@ -39,3 +39,22 @@ def referenced_names():
 
 def test_every_export_is_used_by_the_library():
     assert sorted(exported_names() - referenced_names()) == []
+
+
+def test_every_import_is_read_in_its_module():
+    """No library module imports a name only to pass it on; ``__init__.py``
+    is the one module that re-exports."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread.extend(f"{path.stem}.{name}" for name in sorted(imported - read - {"annotations"}))
+    assert unread == []

@@ -3,6 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import leaderless_components
+
+from containment import analysis, dynamics, graph
+from containment.geometry import LeaderSet
 from containment.graph import (
     AgentGraph,
     LeaderLinks,
@@ -11,10 +15,7 @@ from containment.graph import (
     adjacency,
     build_h,
     components,
-    is_bar_connected,
     laplacian,
-    leaderless_components,
-    link_weights,
     merge_links,
 )
 from containment.linalg import sym_eigenvalues
@@ -109,20 +110,24 @@ class TestComponents:
 class TestBarConnectivity:
     def test_linked_path(self):
         t = Topology(path(3), LeaderLinks(3, 1, ((1, 1, 1.0),)))
-        assert is_bar_connected(t)
+        assert t.leaderless_components == ()
 
     def test_unlinked_component(self):
         g = AgentGraph(3, ((1, 2, 1.0),))  # components {1,2}, {3}
         t = Topology(g, LeaderLinks(3, 1, ((1, 1, 1.0),)))
-        assert not is_bar_connected(t)
-        assert leaderless_components(t) == ((3,),)
+        assert t.leaderless_components == ((3,),)
 
     def test_edgeless_fully_linked(self):
         t = Topology(
             AgentGraph(3),
             LeaderLinks(3, 2, ((1, 1, 1.0), (2, 1, 1.0), (3, 2, 1.0))),
         )
-        assert is_bar_connected(t)
+        assert t.leaderless_components == ()
+
+    def test_matches_label_propagation_oracle(self):
+        for trial in range(100):
+            t = random_topology(rng_for(11, trial), linked=trial % 2 == 0)
+            assert t.leaderless_components == leaderless_components(t), trial
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
@@ -136,7 +141,7 @@ class TestBarConnectivity:
             if rng.random() < 0.3
         )
         t = Topology(g, LeaderLinks(g.n, k, links))
-        before = is_bar_connected(t)
+        before = not t.leaderless_components
         # add one random edge (if available) and one random link
         i, j = (int(v) + 1 for v in rng.choice(g.n, size=2, replace=False)) if g.n >= 2 else (1, 1)
         pair = tuple(sorted((i, j)))
@@ -152,7 +157,7 @@ class TestBarConnectivity:
             LeaderLinks(g.n, k, tuple((a, q, w) for (a, q), w in sorted(new_links.items()))),
         )
         if before:
-            assert is_bar_connected(grown)
+            assert not grown.leaderless_components
 
 
 class TestLeaderLinks:
@@ -171,7 +176,13 @@ class TestLeaderLinks:
 
     def test_link_weights_columns(self):
         t = Topology(AgentGraph(2), LeaderLinks(2, 2, ((1, 1, 0.5), (2, 2, 2.0))))
-        np.testing.assert_array_equal(link_weights(t), [[0.5, 0.0], [0.0, 2.0]])
+        np.testing.assert_array_equal(t.link_weights, [[0.5, 0.0], [0.0, 2.0]])
+
+    def test_link_weights_cached_read_only(self):
+        t = Topology(AgentGraph(2), LeaderLinks(2, 2, ((1, 1, 0.5), (2, 2, 2.0))))
+        assert t.link_weights is t.link_weights
+        with pytest.raises(ValueError):
+            t.link_weights[0, 0] = 1.0
 
     def test_merge_adds_weights(self):
         a = LeaderLinks(2, 2, ((1, 1, 1.0),))
@@ -251,6 +262,37 @@ class TestSolve:
                                 "no leader link reaches these agents")
         assert isinstance(e.value, ValueError)
 
+    def test_singular_h_of_connected_topology_is_a_plain_value_error(self):
+        # 2 + 1e-16 rounds to 2, so H of this leader-connected chain is the
+        # singular Laplacian in floating point
+        t = Topology(path(3), LeaderLinks(3, 1, ((1, 1, 1e-16),)))
+        assert t.leaderless_components == ()
+        with pytest.raises(ValueError) as e:
+            t.solve(np.ones(3))
+        assert type(e.value) is ValueError
+        assert str(e.value) == ("composite matrix H is singular in floating point although "
+                                "every component has a leader link; the smallest link "
+                                "weight is 1e-16")
+
+    def test_components_searched_once_per_topology(self, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return components(g)
+
+        monkeypatch.setattr(graph, "components", counted)
+        t = Topology(path(3), LeaderLinks(3, 2, ((1, 1, 1.0), (3, 2, 0.5))))
+        leaders = LeaderSet(((0.0,), (1.0,)))
+        t.solve(np.ones(3))
+        t.solve(np.eye(3))
+        dynamics.equilibrium(t, leaders)
+        analysis.check_row_stochastic(t)
+        dynamics.simulate(dynamics.Scenario(
+            m=1, x_init=np.zeros((3, 1)), leaders=leaders, topologies=((1, t),),
+            schedule=dynamics.SwitchingSchedule(((0.0, 1),)), dt=0.1, t_final=1.0))
+        assert len(calls) == 1
+
     def test_raises_iff_leaderless_at_any_weight_scale(self):
         # the graph decides solvability, so the decision cannot depend on the
         # weight scale (H and B are linear in the weights)
@@ -258,8 +300,8 @@ class TestSolve:
             t0 = random_topology(rng_for(7, trial), linked=trial % 2 == 0)
             for scale in (1.0, 1e-13, 1e13):
                 t = scaled(t0, scale)
-                b = link_weights(t)
-                if leaderless_components(t):
+                b = t.link_weights
+                if t.leaderless_components:
                     with pytest.raises(NotAllConnectedError):
                         t.solve(b)
                     continue
