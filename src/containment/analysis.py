@@ -29,7 +29,6 @@ from .graph import (
     AgentGraph,
     LeaderLinks,
     Topology,
-    components,
     laplacian,
     merge_links,
 )
@@ -90,7 +89,7 @@ def check_lemma1(g: AgentGraph) -> VerificationReport:
     """
     lap = laplacian(g)
     eigs = sym_eigenvalues(lap)
-    comps = components(g)
+    comps = g.components
     row_sum = float(np.abs(lap.sum(axis=1)).max())
     scale = float(eigs[-1])
     zero = SPECTRAL_TOL * scale
@@ -139,7 +138,7 @@ def check_lemma2(t: Topology) -> VerificationReport:
         measured=(
             ("lambda_min", lam_min),
             ("leader_connected", 1.0 if connected else 0.0),
-            ("component_count", float(len(components(t.graph)))),
+            ("component_count", float(len(t.graph.components))),
             ("spectral_scale", scale),
         ),
         tolerance=SPECTRAL_TOL,
@@ -394,8 +393,9 @@ def check_scenario(check: str, s: Scenario | None = None) -> VerificationReport:
     when ``s`` is None.
 
     Per-topology checks combine their reports under ``topology<id>_`` labels
-    when there are several. Raises ValueError for an unknown name and for a
-    scenario given to a check that runs only on its default (leader-pull).
+    when there are several, and an error names the topology that raised it.
+    Raises ValueError for an unknown name and for a scenario given to a check
+    that runs only on its default (leader-pull).
     """
     row = _row(check)
     if s is None:
@@ -404,8 +404,17 @@ def check_scenario(check: str, s: Scenario | None = None) -> VerificationReport:
         raise ValueError(f"check {check!r} runs only on its bundled instance; "
                          "run it without a scenario or as a random campaign")
     if row.runs_on == "topology":
-        return _combine(check, [(pid, row.run(t)) for pid, t in s.topologies])
+        return _combine(check, [(pid, _on_topology(row.run, pid, t)) for pid, t in s.topologies])
     return row.run(s)
+
+
+def _on_topology(run: Callable, pid: int, t: Topology) -> VerificationReport:
+    """``run(t)``; a ValueError it raises is raised again with the prefix
+    ``"topology <pid>: "``, as theorem 2 names a leaderless topology."""
+    try:
+        return run(t)
+    except ValueError as e:
+        raise type(e)(f"topology {pid}: {e}") from e
 
 
 @dataclass(frozen=True)

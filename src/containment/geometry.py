@@ -13,24 +13,30 @@ largest leader coordinate about the projector's origin: a few hundred times
 the rounding of the certificate itself. The fit's own rounding, which may put
 c just off the hull, comes on top.
 
-A batch in m >= 2 dimensions is solved in three stages:
+A batch in m >= 2 dimensions is solved in up to three stages:
 
-* Wolfe's min-norm-point algorithm (P. Wolfe, Math. Programming 11, 1976)
-  runs on every 16th point. Starting from the nearest leader, it adds the
-  leader with the largest certificate term until the certificate holds;
-  when the fit on the grown support has a negative weight, it steps back to
-  the hull and drops the leader whose weight reached zero. Points that share
-  a support are fitted together, and a leader already in the support is
+* The harvest: Wolfe's min-norm-point algorithm (P. Wolfe, Math.
+  Programming 11, 1976) runs on _HARVEST = 128 rows spread evenly over the
+  batch, or on every row of a smaller batch, which then needs no other
+  stage. Starting from the nearest leader, it adds the leader with the
+  largest certificate term until the certificate holds; when the fit on the
+  grown support has a negative weight, it steps back to the hull and drops
+  the leader whose weight reached zero. Each round fits every point on its
+  own support in one gathered pass, and a leader already in the support is
   never added again.
-* The supports Wolfe ended on are tried in order of frequency on the points
-  not yet resolved.
-* Wolfe finishes the points no support resolved.
+* The supports the harvest ended on are tried in order of frequency on the
+  rows not harvested.
+* Wolfe finishes the rows no support resolved.
 
-Both the candidate stage and Wolfe fit through the pseudo-inverse of the
-support's edge matrix [v_1 - v_0, ..., v_s - v_0], built once per support
-when first used. Its weights sum to one by construction, and its condition
-number is the square root of the Gram matrix's, so thin supports do not
-garble the signs Wolfe steers by.
+A point Wolfe finished gets its distance from the fit on the support it
+ended on, as a point a candidate support resolved does, so its distance
+does not depend on the stage that resolved it.
+
+Every fit comes from the pseudo-inverse of the support's edge matrix
+[v_1 - v_0, ..., v_s - v_0], built once per support, when first used, by
+one stacked ``np.linalg.pinv`` call per support size. Its weights sum to
+one by construction, and its condition number is the square root of the
+Gram matrix's, so thin supports do not garble the signs Wolfe steers by.
 
 For m = 1 the hull is [min, max] and points are clipped onto it.
 
@@ -48,7 +54,7 @@ import numpy as np
 
 _FEAS_TOL = 1e-12  # weight slack of a candidate support's fit
 _CERT_TOL = 1e-13  # certificate tolerance relative to r * (r + ||x - c||)
-_HARVEST_STRIDE = 16  # Wolfe runs on every 16th point to find candidate supports
+_HARVEST = 128  # rows, spread evenly over a batch, that Wolfe runs on first
 _MAX_ROUNDS = 500  # Wolfe rounds before the projection is declared stuck
 _FAR = 8.0  # hulls this many radii from the origin are solved about their centroid
 
@@ -94,6 +100,12 @@ class HullProjector:
     then the leaders' centroid. ``wolfe`` takes its points in those
     coordinates, as the columns of an (m, N) array, so every per-point
     reduction runs across rows.
+
+    The cache keeps one row per support seen: ``_support[r]`` is the support,
+    ``_einv[r]`` its pseudo-inverse, zero-padded to a common number of edges,
+    and ``_index[r]`` its vertices, padded with k; ``_row`` maps a support's
+    packed vertex mask to its row. So the supports of many points are
+    gathered by row, without a loop over them.
     """
 
     def __init__(self, positions: np.ndarray):
@@ -102,18 +114,67 @@ class HullProjector:
         self.origin = center if far else np.zeros_like(center)
         self.vertices = positions - self.origin
         self.radius = float(np.abs(self.vertices).max())
-        self._edges: dict[tuple, np.ndarray] = {}
+        k, m = self.vertices.shape
+        self._support: list[tuple] = []
+        self._row: dict[bytes, int] = {}
+        self._einv = np.zeros((0, min(k, m + 1) - 1, m))
+        self._index = np.zeros((0, min(k, m + 1)), dtype=np.intp)
 
-    def _fit(self, support: tuple, pt):
+    def _rows(self, supp):
+        """Cache rows (U,) of the distinct supports among the boolean columns
+        (k, N) of supp, the position among them of each column's support, and
+        how many columns have each."""
+        packed = np.packbits(supp, axis=0)
+        keys = np.ascontiguousarray(packed.T).view(np.dtype((np.void, len(packed))))[:, 0]
+        keys, first, group, counts = np.unique(keys, return_index=True, return_inverse=True,
+                                               return_counts=True)
+        keys = keys.tolist()
+        new = [i for i, key in enumerate(keys) if key not in self._row]
+        if new:
+            self._build([keys[i] for i in new], supp[:, first[new]])
+        return np.array([self._row[key] for key in keys]), group, counts
+
+    def _build(self, keys, cols):
+        """Cache the supports given by the boolean columns (k, U) of cols, with
+        one stacked ``np.linalg.pinv`` call per support size."""
+        sizes = cols.sum(axis=0).tolist()
+        flat = np.nonzero(cols.T)[1].tolist()
+        ends = np.cumsum(sizes).tolist()
+        new = [tuple(flat[e - s:e]) for s, e in zip(sizes, ends)]
+        k, m = self.vertices.shape
+        old = len(self._support)
+        width = max(self._einv.shape[1], max(sizes) - 1)
+        einv = np.zeros((old + len(new), width, m))
+        einv[:old, :self._einv.shape[1]] = self._einv
+        index = np.full((old + len(new), width + 1), k, dtype=np.intp)
+        index[:old, :self._index.shape[1]] = self._index
+        for size in set(sizes):
+            rows = [old + i for i, s in enumerate(sizes) if s == size]
+            idx = np.array([new[r - old] for r in rows]).reshape(len(rows), size)
+            vs = self.vertices[idx]
+            einv[rows, :size - 1] = np.linalg.pinv((vs[:, 1:] - vs[:, :1]).transpose(0, 2, 1))
+            index[rows, :size] = idx
+        self._support += new
+        self._row.update(zip(keys, range(old, old + len(new))))
+        self._einv, self._index = einv, index
+
+    def _fit(self, row: int, pt):
         """Sum-to-one least-squares weights (s, N) of the columns of pt on the
-        s vertices of the support, from the pseudo-inverse of its edge matrix
-        [v_1 - v_0, v_2 - v_0, ...]."""
-        vs = self.vertices[list(support)]
-        einv = self._edges.get(support)
-        if einv is None:
-            einv = self._edges[support] = np.linalg.pinv((vs[1:] - vs[0]).T)
-        z = einv @ (pt - vs[0][:, None])
+        s vertices of the support in cache row ``row``, from the
+        pseudo-inverse of its edge matrix [v_1 - v_0, v_2 - v_0, ...]."""
+        support = self._support[row]
+        z = self._einv[row, :len(support) - 1] @ (pt - self.vertices[support[0]][:, None])
         return np.vstack([1.0 - z.sum(axis=0), z])
+
+    def _fit_each(self, rows, pt):
+        """Weights (k, N) of ``_fit`` for every column of pt on its own
+        support, the one in cache row rows[j], gathered in one pass."""
+        k, n = len(self.vertices), len(rows)
+        index = self._index[rows]
+        z = np.einsum("nej,jn->en", self._einv[rows], pt - self.vertices[index[:, 0]].T)
+        gamma = np.zeros((k + 1, n))  # row k takes the padding
+        gamma[index.T, np.arange(n)] = np.vstack([1.0 - z.sum(axis=0), z])
+        return gamma[:k]
 
     def _gap(self, pt, c):
         """Certificate terms <x - c, v - c> (k, N) for the columns x of pt and
@@ -125,9 +186,8 @@ class HullProjector:
         return gap, _CERT_TOL * self.radius * (self.radius + np.sqrt(gg)), gg
 
     def wolfe(self, pt):
-        """Convex weights (k, N) of the closest hull points to the columns of
-        pt and the supports (k, N) they end on, by Wolfe's algorithm run on
-        all columns at once."""
+        """Supports (k, N) of the closest hull points to the columns of pt,
+        by Wolfe's algorithm run on all columns at once."""
         v = self.vertices
         k, n = len(v), pt.shape[1]
         w = np.zeros((k, n))
@@ -136,63 +196,92 @@ class HullProjector:
         done = np.zeros(n, dtype=bool)
         refit = np.zeros(n, dtype=bool)  # support changed since w was fitted on it
         for _ in range(_MAX_ROUNDS):
-            live = np.flatnonzero(~done & ~refit)
-            if live.size:
-                gap, tol, _ = self._gap(pt[:, live], v.T @ w[:, live])
-                gap[supp[:, live]] = -np.inf  # never re-add a support vertex
-                j = gap.argmax(axis=0)
-                ok = gap[j, np.arange(live.size)] <= tol
-                done[live[ok]] = True
-                grow = live[~ok]
-                supp[j[~ok], grow] = True
-                refit[grow] = True
+            self._grow(pt, w, supp, done, refit)
             if done.all():
-                return w, supp
-            rows = np.flatnonzero(refit)
-            gamma = np.zeros((k, rows.size))
-            keys, group = np.unique(np.packbits(supp[:, rows], axis=0), axis=1,
-                                    return_inverse=True)
-            for i in range(keys.shape[1]):
-                sel = np.flatnonzero(group == i)
-                idx = np.flatnonzero(supp[:, rows[sel[0]]])
-                gamma[idx[:, None], sel] = self._fit(tuple(idx.tolist()), pt[:, rows[sel]])
-            wr = w[:, rows]
-            neg = gamma < 0.0
-            # step from w toward gamma until the first weight reaches zero
-            ratio = np.full(gamma.shape, np.inf)
-            ratio[neg] = wr[neg] / (wr[neg] - gamma[neg])
-            wr += np.minimum(ratio.min(axis=0), 1.0) * (gamma - wr)
-            back = neg.any(axis=0)
-            wr[ratio[:, back].argmin(axis=0), np.flatnonzero(back)] = 0.0
-            np.maximum(wr, 0.0, out=wr)
-            w[:, rows] = wr
-            supp[:, rows[back]] = wr[:, back] > 0.0
-            refit[rows[~back]] = False
+                return supp
+            self._step(pt, w, supp, refit)
         raise ArithmeticError(f"hull projection did not converge in {_MAX_ROUNDS} rounds")
+
+    def _grow(self, pt, w, supp, done, refit):
+        """Wolfe's major cycle on the points neither done nor waiting for a
+        refit: mark done those whose certificate holds at w, and add to the
+        support of each other the leader with the largest certificate term."""
+        live = np.flatnonzero(~done & ~refit)
+        if not live.size:
+            return
+        gap, tol, _ = self._gap(pt[:, live], self.vertices.T @ w[:, live])
+        gap[supp[:, live]] = -np.inf  # never re-add a support vertex
+        j = gap.argmax(axis=0)
+        ok = gap[j, np.arange(live.size)] <= tol
+        done[live[ok]] = True
+        grow = live[~ok]
+        supp[j[~ok], grow] = True
+        refit[grow] = True
+
+    def _step(self, pt, w, supp, refit):
+        """Wolfe's minor cycle on the points waiting for a refit: fit each on
+        its support and step from w toward the fit. A fit with a negative
+        weight stops the step where the first weight reaches zero, and that
+        leader leaves the support; a fit without one is taken whole, and the
+        point goes back to the major cycle."""
+        cols = np.flatnonzero(refit)
+        rows, group, _ = self._rows(supp[:, cols])
+        gamma = self._fit_each(rows[group], pt[:, cols])
+        wr = w[:, cols]
+        neg = gamma < 0.0
+        ratio = np.full(gamma.shape, np.inf)
+        ratio[neg] = wr[neg] / (wr[neg] - gamma[neg])
+        wr += np.minimum(ratio.min(axis=0), 1.0) * (gamma - wr)
+        back = neg.any(axis=0)
+        wr[ratio[:, back].argmin(axis=0), np.flatnonzero(back)] = 0.0
+        np.maximum(wr, 0.0, out=wr)
+        w[:, cols] = wr
+        supp[:, cols[back]] = wr[:, back] > 0.0
+        refit[cols[~back]] = False
+
+    def _accept(self, row: int, pt, cols):
+        """Positions in ``cols`` of the columns of pt that the fit on the
+        support in cache row ``row`` resolves, and their half squared
+        distances."""
+        gamma = self._fit(row, pt[:, cols])
+        fit = np.flatnonzero((gamma >= -_FEAS_TOL).all(axis=0))
+        c = self.vertices[list(self._support[row])].T @ gamma[:, fit]
+        del gamma  # a large batch peaks in the certificate below
+        gap, tol, gg = self._gap(pt[:, cols[fit]], c)
+        ok = gap.max(axis=0) <= tol
+        return fit[ok], 0.5 * gg[ok]
+
+    def _resolve(self, pt, cols, sq):
+        """Set sq at the columns ``cols`` of pt by Wolfe: each point's distance
+        comes from the fit on the support it ends on, as a candidate
+        support's does. Return the cache rows of those supports, most
+        frequent first."""
+        rows, group, counts = self._rows(self.wolfe(pt[:, cols]))
+        for i, row in enumerate(rows.tolist()):
+            at = cols[group == i]
+            g = pt[:, at] - self.vertices[list(self._support[row])].T @ self._fit(row, pt[:, at])
+            sq[at] = 0.5 * (g * g).sum(axis=0)
+        return rows[np.argsort(-counts, kind="stable")].tolist()
 
     def sq_dist(self, p):
         """Half squared distances (N,) of the rows of p to the hull."""
-        v = self.vertices
         pt = (p - self.origin).T.copy()
         if pt.shape[0] == 1:
-            return 0.5 * (pt[0] - np.clip(pt[0], v.min(), v.max())) ** 2
-        sq = np.empty(len(p))
-        todo = np.arange(len(p))
-        keys, counts = np.unique(np.packbits(self.wolfe(pt[:, ::_HARVEST_STRIDE])[1], axis=0),
-                                 axis=1, return_counts=True)
-        for key in keys.T[np.argsort(-counts, kind="stable")]:
-            support = tuple(np.flatnonzero(np.unpackbits(key, count=len(v))).tolist())
-            gamma = self._fit(support, pt[:, todo])
-            fit = np.flatnonzero((gamma >= -_FEAS_TOL).all(axis=0))
-            gap, tol, gg = self._gap(pt[:, todo[fit]], v[list(support)].T @ gamma[:, fit])
-            ok = np.flatnonzero(gap.max(axis=0) <= tol)
-            sq[todo[fit[ok]]] = 0.5 * gg[ok]
-            todo = np.delete(todo, fit[ok])
+            return 0.5 * (pt[0] - np.clip(pt[0], self.vertices.min(), self.vertices.max())) ** 2
+        n = len(p)
+        sq = np.empty(n)
+        harvest = np.arange(min(n, _HARVEST)) * n // min(n, _HARVEST)
+        candidates = self._resolve(pt, harvest, sq)
+        if n == harvest.size:
+            return sq
+        todo = np.delete(np.arange(n), harvest)
+        for row in candidates:
+            ok, d = self._accept(row, pt, todo)
+            sq[todo[ok]] = d
+            todo = np.delete(todo, ok)
             if not todo.size:
                 return sq
-        w, _ = self.wolfe(pt[:, todo])
-        g = pt[:, todo] - v.T @ w
-        sq[todo] = 0.5 * (g * g).sum(axis=0)
+        self._resolve(pt, todo, sq)
         return sq
 
 

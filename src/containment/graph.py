@@ -6,9 +6,10 @@ is "leader-connected" when every component of the agent graph contains at
 least one agent with a direct link to some leader, i.e. the graph augmented
 with a single virtual node standing for all leaders is connected.
 
-A ``Topology`` owns the data derived from it: its link weights and its
-leaderless components are cached properties, computed on first read, and
-``Topology.require_leader_connected`` alone raises ``NotAllConnectedError``.
+Each record owns the data derived from it, as cached properties computed
+on first read: an ``AgentGraph`` its components, a ``Topology`` its link
+weights and its leaderless components. ``Topology.require_leader_connected``
+alone raises ``NotAllConnectedError``.
 Its composite matrix H = ``build_h`` is used only through the topology:
 ``Topology.spectrum`` eigensolves it once, on first read, for every spectral
 consumer, and ``Topology.solve`` solves with it. H is positive definite
@@ -84,6 +85,11 @@ class AgentGraph:
         edges = _weighted_pairs(self.edges, "edge", "(i, j) or (i, j, weight)", check)
         object.__setattr__(self, "edges", edges)
 
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """``components(self)``, searched on first read."""
+        return components(self)
+
 
 @dataclass(frozen=True)
 class LeaderLinks:
@@ -155,7 +161,7 @@ class Topology:
     def leaderless_components(self) -> tuple[tuple[int, ...], ...]:
         """Components with no link to any leader; empty iff leader-connected."""
         linked = self.leaders.linked_agents
-        return tuple(c for c in components(self.graph) if not any(i in linked for i in c))
+        return tuple(c for c in self.graph.components if not any(i in linked for i in c))
 
     def require_leader_connected(self, context: str = "") -> None:
         """Raise NotAllConnectedError, prefixed by ``context`` and naming the

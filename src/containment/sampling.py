@@ -13,7 +13,7 @@ import numpy as np
 
 from .dynamics import Scenario, SwitchingSchedule
 from .geometry import LeaderSet
-from .graph import AgentGraph, LeaderLinks, Topology, components
+from .graph import AgentGraph, LeaderLinks, Topology
 
 WEIGHT_RANGE = (0.5, 2.0)
 
@@ -96,7 +96,7 @@ def random_topology(rng, linked: bool, n_max: int = 12, k_max: int = 4,
     g = random_graph(rng, n_max=n_max)
     if k is None:
         k = int(rng.integers(1, k_max + 1))
-    comps = components(g)
+    comps = g.components
     links = _random_links(rng, g, k)
     by_comp = {comp: [i for i in comp if any((i, q) in links for q in range(1, k + 1))]
                for comp in comps}

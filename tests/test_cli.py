@@ -282,21 +282,40 @@ class TestVerify:
                      "--out", str(tmp_path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("error: leaderless component {4, 5}: "
+        assert err == ("error: topology 1: leaderless component {4, 5}: "
                        "no leader link reaches these agents\n")
         assert not (tmp_path / "row-stochastic.txt").exists()
 
     @pytest.mark.parametrize("check", ["row-stochastic", "theorem1"])
     def test_singular_h_of_connected_topology_names_the_rounding(
             self, check, lost_link_file, tmp_path, capsys):
+        # a per-topology check names the topology; theorem 1 has only one
+        prefix = "topology 1: " if check == "row-stochastic" else ""
         assert main(["verify", check, "--scenario", lost_link_file,
                      "--out", str(tmp_path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("error: composite matrix H is singular in floating point although "
-                       "every component has a leader link; the smallest link weight is "
-                       "1e-16\n")
+        assert err == (f"error: {prefix}composite matrix H is singular in floating point "
+                       "although every component has a leader link; the smallest link "
+                       "weight is 1e-16\n")
         assert not (tmp_path / f"{check}.txt").exists()
+
+    def test_singular_h_names_its_topology_among_several(self, tmp_path, capsys):
+        # topology 1 is example 1's base; topology 2 is the same graph whose
+        # links of weight 1e-16 vanish against the agents' degrees
+        doc = scenario_to_dict(example_one("base"))
+        lost = dict(doc["topologies"][0], id=2)
+        lost["leader_links"] = [[i, q, 1e-16] for i, q, _ in lost["leader_links"]]
+        doc["topologies"].append(lost)
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "row-stochastic", "--scenario", str(path),
+                     "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: topology 2: composite matrix H is singular")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "row-stochastic.txt").exists()
 
     def test_leader_pull_rejects_scenario(self, example_file, tmp_path, capsys):
         assert main(["verify", "leader-pull", "--scenario", "builtin:example1-base",

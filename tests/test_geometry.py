@@ -14,6 +14,8 @@ from conftest import polygon_distance, projection_batch_oracle, projection_oracl
 from containment.builtin import example_two
 from containment.dynamics import Scenario, SwitchingSchedule, simulate
 from containment.geometry import (
+    _HARVEST,
+    HullProjector,
     LeaderSet,
     collinearity_residual,
     d_xi,
@@ -203,7 +205,7 @@ class TestSubsetBound:
         assert count == sum(comb(k, s) for s in range(1, min(k, m + 1) + 1))
         pts = rng_for(k, m + 100).uniform(-2.0, 2.0, size=(400, m))
         project_points(pts, leaders)
-        supports = leaders.projector._edges.keys()
+        supports = leaders.projector._support
         assert len(supports) <= count
         assert all(len(s) <= min(k, m + 1) for s in supports)
 
@@ -304,26 +306,65 @@ class TestProjector:
         for x, sq in zip(pts[:20], want):
             assert sq_dist(x, leaders) == pytest.approx(sq, rel=1e-6, abs=1e-26)
 
-    def test_unresolved_points_go_to_wolfe(self):
-        # only the first of two points seeds the candidate supports, so the
-        # second, in another region of the plane, is left for Wolfe
-        pts = np.array([[1.3, 1.6], [5.0, -4.0]])
-        got = project_points(pts, TRIANGLE)
-        assert got[0] <= 1e-24
-        assert got[1] == pytest.approx(sq_dist(pts[1], TRIANGLE), rel=1e-12)
+    def test_unresolved_points_go_to_wolfe(self, monkeypatch):
+        # a batch one row over the harvest budget: the harvest takes every row
+        # but the last and finds only the interior support, so the last
+        # point, in another region of the plane, is left for Wolfe
+        calls = []
+        wolfe = HullProjector.wolfe
+        monkeypatch.setattr(HullProjector, "wolfe",
+                            lambda self, pt: calls.append(pt.shape[1]) or wolfe(self, pt))
+        pts = np.array([[1.3, 1.6]] * _HARVEST + [[5.0, -4.0]])
+        got = project_points(pts, LeaderSet(TRIANGLE.positions))
+        assert calls == [_HARVEST, 1]
+        assert got[:-1].max() <= 1e-24
+        assert got[-1] == pytest.approx(sq_dist(pts[-1], TRIANGLE), rel=1e-12)
         assert_batch_matches_oracle(pts, TRIANGLE)
 
     def test_pseudo_inverse_built_once_per_support(self, monkeypatch):
-        calls = []
+        # a stacked call builds one matrix per entry of its leading dimension
+        built = []
         pinv = np.linalg.pinv
-        monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(a.shape) or pinv(a))
+        monkeypatch.setattr(np.linalg, "pinv",
+                            lambda a: built.append(a.shape[0] if a.ndim == 3 else 1) or pinv(a))
         leaders = LeaderSet(rng_for(5).uniform(-1.0, 1.0, size=(12, 3)))
         pts = rng_for(6).uniform(-3.0, 3.0, size=(500, 3))
         first = project_points(pts, leaders)
-        built = len(calls)
-        assert built == len(leaders.projector._edges) > 0
+        assert sum(built) == len(leaders.projector._support) > 0
+        calls = len(built)
         assert (project_points(pts, leaders) == first).all()
-        assert len(calls) == built
+        assert len(built) == calls
+
+    def test_stacked_pseudo_inverses_match_single_builds(self):
+        leaders = LeaderSet(rng_for(8).uniform(-1.0, 1.0, size=(12, 3)))
+        proj = leaders.projector
+        project_points(rng_for(9).uniform(-3.0, 3.0, size=(500, 3)), leaders)
+        for row, support in enumerate(proj._support):
+            vs = proj.vertices[list(support)]
+            single = np.linalg.pinv((vs[1:] - vs[0]).T)
+            assert (proj._einv[row, :len(support) - 1] == single).all()
+            assert not proj._einv[row, len(support) - 1:].any()
+            assert proj._index[row].tolist() == [*support] + [12] * (4 - len(support))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_batches_around_the_harvest_budget(self, extra):
+        # within the budget the whole batch is harvested; one row over it,
+        # the candidate stage runs on the rest
+        rng = rng_for(10, extra + 1)
+        leaders = LeaderSet(rng.uniform(-1.0, 1.0, size=(9, 3)))
+        assert_batch_matches_oracle(rng.uniform(-3.0, 3.0, size=(_HARVEST + extra, 3)), leaders)
+
+    def test_harvest_reaches_every_swarm_agent(self, monkeypatch):
+        # rows are sample-major, 96 agents per sample; a stride of 16 would
+        # harvest agents 1, 17, ..., 81 only
+        pts, leaders = swarm_points(3)
+        row_of = {x.tobytes(): i for i, x in enumerate(pts)}
+        harvested = []
+        wolfe = HullProjector.wolfe
+        monkeypatch.setattr(HullProjector, "wolfe", lambda self, pt: harvested.append(
+            [row_of[(x + self.origin).tobytes()] for x in pt.T]) or wolfe(self, pt))
+        project_points(pts, leaders)
+        assert {row % workloads.SWARM_N for row in harvested[0]} == set(range(workloads.SWARM_N))
 
 
 class TestDXi:

@@ -106,6 +106,31 @@ class TestComponents:
         )
         assert components(g) == ((1, 2, 3), (4, 5, 6))
 
+    def test_searched_once_per_graph(self, monkeypatch):
+        # lemma 1, lemma 2, the leaderless components and a random topology's
+        # draw all read the graph's one search
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return components(g)
+
+        monkeypatch.setattr(graph, "components", counted)
+        g = AgentGraph(4, ((1, 2, 1.0), (3, 4, 2.0)))
+        t = Topology(g, LeaderLinks(4, 1, ((1, 1, 1.0), (4, 1, 1.0))))
+        assert g.components == ((1, 2), (3, 4))
+        assert analysis.check_lemma1(g).value("component_count") == 2.0
+        assert analysis.check_lemma2(t).value("component_count") == 2.0
+        assert t.leaderless_components == ()
+        assert analysis.check_scenario("lemma2", dynamics.Scenario(
+            m=1, x_init=np.zeros((4, 1)), leaders=LeaderSet(((0.0,),)), topologies=((1, t),),
+            schedule=dynamics.SwitchingSchedule(((0.0, 1),)), dt=0.1, t_final=1.0)).passed
+        assert calls == [g]
+        drawn = random_topology(rng_for(3), linked=True)
+        drawn.leaderless_components
+        assert analysis.check_lemma2(drawn).passed
+        assert calls == [g, drawn.graph]
+
 
 class TestBarConnectivity:
     def test_linked_path(self):
