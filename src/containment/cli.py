@@ -60,6 +60,18 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
+def _seed(text: str) -> int:
+    """The value of ``--seed``: numpy seeds its generators only from
+    non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+    return seed
+
+
 def _load_scenario_arg(value: str, **overrides) -> Scenario:
     if not value:
         raise ValueError("--scenario is empty: give a scenario file path or builtin:<name>")
@@ -193,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--scenario", help="scenario file path or builtin:<name>")
     source.add_argument("--random", type=int, metavar="N",
                         help="run a seeded random campaign of N trials instead")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="reports", help="report output directory")
 
     p = sub.add_parser("plotdata", help="emit gnuplot-ready series from a trajectory CSV")

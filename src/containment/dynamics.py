@@ -142,14 +142,14 @@ class Scenario:
                     f"topology {pid} links {t.leaders.k} leaders, expected {self.leaders.k}"
                 )
         object.__setattr__(self, "topologies", topo)
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "t_final", float(self.t_final))
-        object.__setattr__(self, "t0", float(self.t0))
-        if not (np.isfinite(self.dt) and self.dt > 0):
+        for name in ("dt", "t0", "t_final"):
+            value = float(getattr(self, name))
+            if not np.isfinite(value):
+                raise ScenarioError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
+        if self.dt <= 0:
             raise ScenarioError("dt must be positive")
-        if not np.isfinite(self.t0):
-            raise ScenarioError("t0 must be finite")
-        if not (np.isfinite(self.t_final) and self.t_final > self.t0):
+        if self.t_final <= self.t0:
             raise ScenarioError("t_final must exceed t0")
         steps = _grid_steps(self.t_final - self.t0, self.dt, "horizon")
         times = self.schedule.times

@@ -28,15 +28,26 @@ A batch in m >= 2 dimensions is solved in up to three stages:
   rows not harvested.
 * Wolfe finishes the rows no support resolved.
 
-A point Wolfe finished gets its distance from the fit on the support it
-ended on, as a point a candidate support resolved does, so its distance
-does not depend on the stage that resolved it.
+Every distance the projector returns comes from one fit kernel (``_fit``,
+``_combine`` and ``_sq_norm``), which forms each term elementwise in a fixed
+order instead of calling BLAS, whose last bits depend on the batch. The
+candidate stage runs it with one support for all its columns; the points
+Wolfe finished run it in one gathered pass, each column on the support it
+ended on. So a point's distance depends only on the point and the support
+that resolved it, not on the stage or on the rest of the batch. A point
+outside the hull ended on the same support in a batch and alone in every
+sample tried; a point inside a hull of more than m + 1 leaders may be
+resolved by any simplex that holds it, so its distance, rounding noise of
+order (eps r)^2, may differ in a batch and alone.
 
 Every fit comes from the pseudo-inverse of the support's edge matrix
 [v_1 - v_0, ..., v_s - v_0], built once per support, when first used, by
 one stacked ``np.linalg.pinv`` call per support size. Its weights sum to
 one by construction, and its condition number is the square root of the
 Gram matrix's, so thin supports do not garble the signs Wolfe steers by.
+The kernel pads gathered supports to the widest with zero edges, which
+weigh exactly 0, so padding leaves every bit as it is. Wolfe's own
+steering fit (``_fit_each``) stays on einsum: it only picks supports.
 
 For m = 1 the hull is [min, max] and points are clipped onto it.
 
@@ -48,7 +59,7 @@ bounds without rescaling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -158,17 +169,10 @@ class HullProjector:
         self._row.update(zip(keys, range(old, old + len(new))))
         self._einv, self._index = einv, index
 
-    def _fit(self, row: int, pt):
-        """Sum-to-one least-squares weights (s, N) of the columns of pt on the
-        s vertices of the support in cache row ``row``, from the
-        pseudo-inverse of its edge matrix [v_1 - v_0, v_2 - v_0, ...]."""
-        support = self._support[row]
-        z = self._einv[row, :len(support) - 1] @ (pt - self.vertices[support[0]][:, None])
-        return np.vstack([1.0 - z.sum(axis=0), z])
-
     def _fit_each(self, rows, pt):
-        """Weights (k, N) of ``_fit`` for every column of pt on its own
-        support, the one in cache row rows[j], gathered in one pass."""
+        """Sum-to-one weights (k, N) of every column of pt on its own
+        support, the one in cache row rows[j], gathered in one pass by
+        einsum. They steer Wolfe; no distance is taken from them."""
         k, n = len(self.vertices), len(rows)
         index = self._index[rows]
         z = np.einsum("nej,jn->en", self._einv[rows], pt - self.vertices[index[:, 0]].T)
@@ -176,14 +180,17 @@ class HullProjector:
         gamma[index.T, np.arange(n)] = np.vstack([1.0 - z.sum(axis=0), z])
         return gamma[:k]
 
-    def _gap(self, pt, c):
-        """Certificate terms <x - c, v - c> (k, N) for the columns x of pt and
-        hull points c, their tolerance (N,), and the residuals x - c."""
-        g = pt - c
+    def _gap(self, g, c):
+        """Certificate terms <x - c, v - c> (k, N) for hull points c and the
+        residuals g = x - c of points x."""
+        gc = (g * c).sum(axis=0)  # before the (k, N) terms: a large batch peaks there
         gap = self.vertices @ g
-        gap -= (g * c).sum(axis=0)
-        gg = (g * g).sum(axis=0)
-        return gap, _CERT_TOL * self.radius * (self.radius + np.sqrt(gg)), gg
+        gap -= gc
+        return gap
+
+    def _tol(self, gg):
+        """Certificate tolerances (N,) at the squared residual norms gg."""
+        return _CERT_TOL * self.radius * (self.radius + np.sqrt(gg))
 
     def wolfe(self, pt):
         """Supports (k, N) of the closest hull points to the columns of pt,
@@ -209,10 +216,12 @@ class HullProjector:
         live = np.flatnonzero(~done & ~refit)
         if not live.size:
             return
-        gap, tol, _ = self._gap(pt[:, live], self.vertices.T @ w[:, live])
+        c = self.vertices.T @ w[:, live]
+        g = pt[:, live] - c
+        gap = self._gap(g, c)
         gap[supp[:, live]] = -np.inf  # never re-add a support vertex
         j = gap.argmax(axis=0)
-        ok = gap[j, np.arange(live.size)] <= tol
+        ok = gap[j, np.arange(live.size)] <= self._tol((g * g).sum(axis=0))
         done[live[ok]] = True
         grow = live[~ok]
         supp[j[~ok], grow] = True
@@ -243,25 +252,35 @@ class HullProjector:
         """Positions in ``cols`` of the columns of pt that the fit on the
         support in cache row ``row`` resolves, and their half squared
         distances."""
-        gamma = self._fit(row, pt[:, cols])
+        s = len(self._support[row])
+        verts = self.vertices[self._index[row, :s], :, None]
+        # columns by take: indexing [:, cols] copies them several times slower
+        gamma = _fit(self._einv[row, :s - 1, :, None], pt.take(cols, axis=1) - verts[0])
         fit = np.flatnonzero((gamma >= -_FEAS_TOL).all(axis=0))
-        c = self.vertices[list(self._support[row])].T @ gamma[:, fit]
+        gamma = gamma.take(fit, axis=1)
+        c = _combine(verts, gamma)
         del gamma  # a large batch peaks in the certificate below
-        gap, tol, gg = self._gap(pt[:, cols[fit]], c)
-        ok = gap.max(axis=0) <= tol
+        g = pt.take(cols[fit], axis=1) - c
+        gg = _sq_norm(g)
+        ok = self._gap(g, c).max(axis=0) <= self._tol(gg)
         return fit[ok], 0.5 * gg[ok]
 
     def _resolve(self, pt, cols, sq):
         """Set sq at the columns ``cols`` of pt by Wolfe: each point's distance
-        comes from the fit on the support it ends on, as a candidate
-        support's does. Return the cache rows of those supports, most
-        frequent first."""
-        rows, group, counts = self._rows(self.wolfe(pt[:, cols]))
-        for i, row in enumerate(rows.tolist()):
-            at = cols[group == i]
-            g = pt[:, at] - self.vertices[list(self._support[row])].T @ self._fit(row, pt[:, at])
-            sq[at] = 0.5 * (g * g).sum(axis=0)
-        return rows[np.argsort(-counts, kind="stable")].tolist()
+        comes from the fit on the support it ends on, by the kernel the
+        candidate stage uses, in one pass. Return the cache rows of those
+        supports, most frequent first."""
+        rows, group, counts = self._rows(self.wolfe(pt.take(cols, axis=1)))
+        # sorted before the gather: a small batch would peak in argsort
+        frequent = rows[np.argsort(-counts, kind="stable")].tolist()
+        at = rows[group]
+        # supports padded to the widest: a padded slot weighs exactly 0, so
+        # any vertex may stand in for it
+        verts = self.vertices.take(self._index[at].T, axis=0, mode="clip").transpose(0, 2, 1)
+        x = pt.take(cols, axis=1)  # not held through _rows, where small batches peak
+        g = x - _combine(verts, _fit(self._einv[at].transpose(1, 2, 0), x - verts[0]))
+        sq[cols] = 0.5 * _sq_norm(g)
+        return frequent
 
     def sq_dist(self, p):
         """Half squared distances (N,) of the rows of p to the hull."""
@@ -283,6 +302,42 @@ class HullProjector:
                 return sq
         self._resolve(pt, todo, sq)
         return sq
+
+
+def _fit(einv, d):
+    """Sum-to-one least-squares weights (s, N) of points x, given as their
+    offsets d = x - v_0 (m, N) from their supports' first vertices, from the
+    pseudo-inverses einv (s - 1, m, ·) of the supports' edge matrices
+    [v_1 - v_0, v_2 - v_0, ...]: one support for every column when the last
+    axis has length 1, one per column when it has length N. Each term is
+    formed elementwise in a fixed order, z_i = sum_j einv[i, j] d_j and
+    gamma_0 = 1 - sum_i z_i, so a column's weights depend neither on the other
+    columns nor on padding: a zero-padded edge weighs exactly 0."""
+    gamma = np.zeros((len(einv) + 1, d.shape[1]))
+    z, term = gamma[1:], np.empty_like(gamma[1:])
+    np.multiply(einv[:, 0], d[0], out=z)
+    for j in range(1, len(d)):
+        z += np.multiply(einv[:, j], d[j], out=term)
+    total = gamma[0]
+    for zi in z:
+        total += zi
+    np.subtract(1.0, total, out=total)
+    return gamma
+
+
+def _combine(verts, gamma):
+    """Points c (m, N) = sum over slots of verts[slot] * gamma[slot], added
+    slot by slot, for the weights gamma (s, N) of ``_fit`` and the supports'
+    vertices verts (s, m, ·)."""
+    c = verts[0] * gamma[0]
+    for v, g in zip(verts[1:], gamma[1:]):
+        c += v * g
+    return c
+
+
+def _sq_norm(g):
+    """Squared norms (N,) of the columns of g, added row by row."""
+    return reduce(np.add, g * g)
 
 
 def project_points(points, leaders: LeaderSet) -> np.ndarray:

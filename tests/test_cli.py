@@ -116,6 +116,15 @@ class TestSimulate:
         assert main(["simulate", "--scenario", example_file,
                      "--out", str(tmp_path / "t.csv"), "--dt", "0.007"]) == 3
 
+    @pytest.mark.parametrize("flag,name", [("--dt", "dt"), ("--t-final", "t_final")])
+    def test_non_finite_override_names_its_value(self, example_file, tmp_path, capsys,
+                                                 flag, name):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--scenario", example_file, "--out", str(out),
+                     flag, "inf"]) == 3
+        assert capsys.readouterr().err == f"error: {name} must be finite, got inf\n"
+        assert not out.exists()
+
     def test_unstable_step_exits_3_without_output(self, unstable_file, tmp_path, capsys):
         out = tmp_path / "t.csv"
         assert main(["simulate", "--scenario", unstable_file, "--out", str(out)]) == 3
@@ -343,6 +352,16 @@ class TestVerify:
 
     def test_negative_random_exits_2(self, tmp_path):
         assert main(["verify", "lemma1", "--random", "0", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_names_its_flag(self, tmp_path, capsys, seed):
+        # numpy alone said "expected non-negative integer", naming no flag
+        assert main(["verify", "theorem1", "--random", "2", "--seed", seed,
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert err == ("containment verify: error: argument --seed: must be a "
+                       f"non-negative integer, not '{seed}'")
+        assert not list(tmp_path.iterdir())
 
     def test_report_files_are_deterministic(self, tmp_path):
         contents = []

@@ -249,9 +249,17 @@ class TestScenarioValidation:
             SwitchingSchedule(((0.0, 1), (0.0, 2)))
 
     def test_rejects_non_positive_dt(self):
-        for dt in (0.0, -0.01, math.nan, math.inf):
-            with pytest.raises(ScenarioError, match="dt must be positive"):
+        for dt, message in ((0.0, "dt must be positive"), (-0.01, "dt must be positive"),
+                            (math.nan, "dt must be finite, got nan"),
+                            (math.inf, "dt must be finite, got inf")):
+            with pytest.raises(ScenarioError, match=message):
                 fixed(SOLO, [[0.0]], SOLO_LEADER, dt=dt)
+
+    def test_rejects_non_finite_t_final(self):
+        # inf once read "t_final must exceed t0", and nan the same
+        for t_final in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ScenarioError, match=f"t_final must be finite, got {t_final}"):
+                fixed(SOLO, [[0.0]], SOLO_LEADER, t_final=t_final)
 
     def test_rk4_stability_boundary(self):
         # SOLO has lambda = 1; RK4 is stable on the real axis up to dt ~ 2.785

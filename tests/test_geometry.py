@@ -367,6 +367,23 @@ class TestProjector:
         assert {row % workloads.SWARM_N for row in harvested[0]} == set(range(workloads.SWARM_N))
 
 
+    @pytest.mark.parametrize("case", ["example2", "swarm"])
+    def test_distance_does_not_depend_on_its_batch(self, case):
+        # every returned distance comes from one elementwise fit kernel; fits
+        # through BLAS gave about half of example 2's rows and a quarter of
+        # the swarm's other last bits alone than in the full batch
+        if case == "example2":
+            s = example_two()
+            pts, leaders = simulate(s).states.reshape(-1, 2), s.leaders
+        else:
+            pts, leaders = swarm_points(3)
+        batch = project_points(pts, leaders)
+        rows = rng_for(24).choice(len(pts), size=400, replace=False)
+        alone = np.array([project_points(pts[[r]], LeaderSet(leaders.positions))[0]
+                          for r in rows])
+        assert (alone == batch[rows]).all(), rows[alone != batch[rows]]
+
+
 class TestDXi:
     def test_inside_is_zero(self):
         x = np.array([1.2, 1.5, 1.9])  # three agents inside [1, 2]
