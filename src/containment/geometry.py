@@ -40,14 +40,14 @@ sample tried; a point inside a hull of more than m + 1 leaders may be
 resolved by any simplex that holds it, so its distance, rounding noise of
 order (eps r)^2, may differ in a batch and alone.
 
-Every fit comes from the pseudo-inverse of the support's edge matrix
-[v_1 - v_0, ..., v_s - v_0], built once per support, when first used, by
-one stacked ``np.linalg.pinv`` call per support size. Its weights sum to
-one by construction, and its condition number is the square root of the
-Gram matrix's, so thin supports do not garble the signs Wolfe steers by.
-The kernel pads gathered supports to the widest with zero edges, which
-weigh exactly 0, so padding leaves every bit as it is. Wolfe's own
-steering fit (``_fit_each``) stays on einsum: it only picks supports.
+One kernel makes every fit, the ones Wolfe steers by included, from the
+pseudo-inverse of the support's edge matrix [v_1 - v_0, ..., v_s - v_0],
+built once per support, when first used, by one stacked ``np.linalg.pinv``
+call per support size. Its weights sum to one by construction, and its
+condition number is the square root of the Gram matrix's, so thin supports
+do not garble the signs Wolfe steers by. Gathered supports are padded to
+the widest with zero edges, which weigh exactly 0, so padding leaves every
+bit as it is.
 
 For m = 1 the hull is [min, max] and points are clipped onto it.
 
@@ -102,8 +102,8 @@ class LeaderSet:
 
 
 class HullProjector:
-    """Projection onto the hull of the rows of ``positions``. Supports are
-    sorted tuples of row indices.
+    """Projection onto the hull of the rows of ``positions``. A support is a
+    boolean column over the leaders, or the cache row that holds it.
 
     Coordinates are taken about ``origin``: the origin itself, unless the hull
     lies farther from it than _FAR times its radius, where absolute
@@ -112,11 +112,11 @@ class HullProjector:
     coordinates, as the columns of an (m, N) array, so every per-point
     reduction runs across rows.
 
-    The cache keeps one row per support seen: ``_support[r]`` is the support,
-    ``_einv[r]`` its pseudo-inverse, zero-padded to a common number of edges,
-    and ``_index[r]`` its vertices, padded with k; ``_row`` maps a support's
-    packed vertex mask to its row. So the supports of many points are
-    gathered by row, without a loop over them.
+    The cache keeps one row per support seen: ``_index[r]`` is its
+    vertices in ascending order, padded with k, and ``_einv[r]`` its
+    pseudo-inverse, zero-padded to a common number of edges; ``_row`` maps a
+    support's packed vertex mask to its row. So the supports of many points
+    are gathered by row, without a loop over them.
     """
 
     def __init__(self, positions: np.ndarray):
@@ -126,7 +126,6 @@ class HullProjector:
         self.vertices = positions - self.origin
         self.radius = float(np.abs(self.vertices).max())
         k, m = self.vertices.shape
-        self._support: list[tuple] = []
         self._row: dict[bytes, int] = {}
         self._einv = np.zeros((0, min(k, m + 1) - 1, m))
         self._index = np.zeros((0, min(k, m + 1)), dtype=np.intp)
@@ -143,42 +142,35 @@ class HullProjector:
         new = [i for i, key in enumerate(keys) if key not in self._row]
         if new:
             self._build([keys[i] for i in new], supp[:, first[new]])
-        return np.array([self._row[key] for key in keys]), group, counts
+        return np.array([self._row[key] for key in keys], dtype=np.intp), group, counts
 
     def _build(self, keys, cols):
         """Cache the supports given by the boolean columns (k, U) of cols, with
         one stacked ``np.linalg.pinv`` call per support size."""
-        sizes = cols.sum(axis=0).tolist()
-        flat = np.nonzero(cols.T)[1].tolist()
-        ends = np.cumsum(sizes).tolist()
-        new = [tuple(flat[e - s:e]) for s, e in zip(sizes, ends)]
+        sizes = cols.sum(axis=0)
         k, m = self.vertices.shape
-        old = len(self._support)
-        width = max(self._einv.shape[1], max(sizes) - 1)
-        einv = np.zeros((old + len(new), width, m))
+        old, new = len(self._index), len(keys)
+        width = max(self._einv.shape[1], int(sizes.max()) - 1)
+        einv = np.zeros((old + new, width, m))
         einv[:old, :self._einv.shape[1]] = self._einv
-        index = np.full((old + len(new), width + 1), k, dtype=np.intp)
+        index = np.full((old + new, width + 1), k, dtype=np.intp)
         index[:old, :self._index.shape[1]] = self._index
-        for size in set(sizes):
-            rows = [old + i for i, s in enumerate(sizes) if s == size]
-            idx = np.array([new[r - old] for r in rows]).reshape(len(rows), size)
+        for size in set(sizes.tolist()):  # np.unique would import numpy.ma
+            of = np.flatnonzero(sizes == size)
+            idx = np.nonzero(cols[:, of].T)[1].reshape(len(of), size)
             vs = self.vertices[idx]
-            einv[rows, :size - 1] = np.linalg.pinv((vs[:, 1:] - vs[:, :1]).transpose(0, 2, 1))
-            index[rows, :size] = idx
-        self._support += new
-        self._row.update(zip(keys, range(old, old + len(new))))
+            einv[old + of, :size - 1] = np.linalg.pinv((vs[:, 1:] - vs[:, :1]).transpose(0, 2, 1))
+            index[old + of, :size] = idx
+        self._row.update(zip(keys, range(old, old + new)))
         self._einv, self._index = einv, index
 
-    def _fit_each(self, rows, pt):
-        """Sum-to-one weights (k, N) of every column of pt on its own
-        support, the one in cache row rows[j], gathered in one pass by
-        einsum. They steer Wolfe; no distance is taken from them."""
-        k, n = len(self.vertices), len(rows)
-        index = self._index[rows]
-        z = np.einsum("nej,jn->en", self._einv[rows], pt - self.vertices[index[:, 0]].T)
-        gamma = np.zeros((k + 1, n))  # row k takes the padding
-        gamma[index.T, np.arange(n)] = np.vstack([1.0 - z.sum(axis=0), z])
-        return gamma[:k]
+    def _fit_rows(self, at, x):
+        """Vertices (s, m, N) of the supports in cache rows ``at``, and the
+        weights (s, N) of each column of x on its own support, gathered in
+        one pass. Supports are padded to the widest: a padded slot weighs
+        exactly 0, so any vertex may stand in for it."""
+        verts = self.vertices.take(self._index[at].T, axis=0, mode="clip").transpose(0, 2, 1)
+        return verts, _fit(self._einv[at].transpose(1, 2, 0), x - verts[0])
 
     def _gap(self, g, c):
         """Certificate terms <x - c, v - c> (k, N) for hull points c and the
@@ -221,7 +213,7 @@ class HullProjector:
         gap = self._gap(g, c)
         gap[supp[:, live]] = -np.inf  # never re-add a support vertex
         j = gap.argmax(axis=0)
-        ok = gap[j, np.arange(live.size)] <= self._tol((g * g).sum(axis=0))
+        ok = gap[j, np.arange(live.size)] <= self._tol(_sq_norm(g))
         done[live[ok]] = True
         grow = live[~ok]
         supp[j[~ok], grow] = True
@@ -235,7 +227,10 @@ class HullProjector:
         point goes back to the major cycle."""
         cols = np.flatnonzero(refit)
         rows, group, _ = self._rows(supp[:, cols])
-        gamma = self._fit_each(rows[group], pt[:, cols])
+        at = rows[group]
+        gamma = np.zeros((len(w) + 1, cols.size))  # row k takes the padding
+        gamma[self._index[at].T, np.arange(cols.size)] = self._fit_rows(at, pt[:, cols])[1]
+        gamma = gamma[:-1]
         wr = w[:, cols]
         neg = gamma < 0.0
         ratio = np.full(gamma.shape, np.inf)
@@ -252,7 +247,7 @@ class HullProjector:
         """Positions in ``cols`` of the columns of pt that the fit on the
         support in cache row ``row`` resolves, and their half squared
         distances."""
-        s = len(self._support[row])
+        s = np.count_nonzero(self._index[row] < len(self.vertices))
         verts = self.vertices[self._index[row, :s], :, None]
         # columns by take: indexing [:, cols] copies them several times slower
         gamma = _fit(self._einv[row, :s - 1, :, None], pt.take(cols, axis=1) - verts[0])
@@ -273,12 +268,8 @@ class HullProjector:
         rows, group, counts = self._rows(self.wolfe(pt.take(cols, axis=1)))
         # sorted before the gather: a small batch would peak in argsort
         frequent = rows[np.argsort(-counts, kind="stable")].tolist()
-        at = rows[group]
-        # supports padded to the widest: a padded slot weighs exactly 0, so
-        # any vertex may stand in for it
-        verts = self.vertices.take(self._index[at].T, axis=0, mode="clip").transpose(0, 2, 1)
         x = pt.take(cols, axis=1)  # not held through _rows, where small batches peak
-        g = x - _combine(verts, _fit(self._einv[at].transpose(1, 2, 0), x - verts[0]))
+        g = x - _combine(*self._fit_rows(rows[group], x))
         sq[cols] = 0.5 * _sq_norm(g)
         return frequent
 

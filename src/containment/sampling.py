@@ -27,8 +27,9 @@ def _weight(rng) -> float:
     return float(rng.uniform(lo, hi))
 
 
-def _connected_edges(rng, agents: list[int], extra_edge_prob: float = 0.35):
-    """Random spanning tree over the given agent ids plus extra random edges."""
+def _connected_edges(rng, agents: list[int]):
+    """Random spanning tree over the given agent ids plus each other edge with
+    probability 0.35."""
     order = [agents[i] for i in rng.permutation(len(agents))]
     edges = {}
     for idx in range(1, len(order)):
@@ -38,7 +39,7 @@ def _connected_edges(rng, agents: list[int], extra_edge_prob: float = 0.35):
     for ai in range(len(agents)):
         for bi in range(ai + 1, len(agents)):
             pair = tuple(sorted((agents[ai], agents[bi])))
-            if pair not in edges and rng.random() < extra_edge_prob:
+            if pair not in edges and rng.random() < 0.35:
                 edges[pair] = _weight(rng)
     return [(i, j, w) for (i, j), w in edges.items()]
 
@@ -47,10 +48,10 @@ def random_connected_graph(rng, n: int) -> AgentGraph:
     return AgentGraph(n, tuple(_connected_edges(rng, list(range(1, n + 1)))))
 
 
-def random_graph(rng, n_min: int = 2, n_max: int = 12, max_parts: int = 3) -> AgentGraph:
-    """Random graph with 1..max_parts connected components."""
+def random_graph(rng, n_min: int = 2, n_max: int = 12) -> AgentGraph:
+    """Random graph with 1..3 connected components."""
     n = int(rng.integers(n_min, n_max + 1))
-    parts = int(rng.integers(1, min(max_parts, n) + 1))
+    parts = int(rng.integers(1, min(3, n) + 1))
     ids = list(range(1, n + 1))
     rng.shuffle(ids)
     cuts = sorted(rng.choice(np.arange(1, n), size=parts - 1, replace=False)) if parts > 1 else []
@@ -61,11 +62,12 @@ def random_graph(rng, n_min: int = 2, n_max: int = 12, max_parts: int = 3) -> Ag
     return AgentGraph(n, tuple(edges))
 
 
-def _random_links(rng, g: AgentGraph, k: int, link_prob: float = 0.3):
+def _random_links(rng, g: AgentGraph, k: int):
+    """Each agent-leader link with probability 0.3."""
     links = {}
     for i in range(1, g.n + 1):
         for q in range(1, k + 1):
-            if rng.random() < link_prob:
+            if rng.random() < 0.3:
                 links[(i, q)] = _weight(rng)
     return links
 
@@ -81,21 +83,21 @@ def _connected_topology(rng, n: int, k: int) -> Topology:
     return Topology(g, LeaderLinks(n, k, link_tuple))
 
 
-def random_connected_topology(rng, n_max: int = 12, k_max: int = 4,
-                              k: int | None = None) -> Topology:
-    """Connected agent graph with at least one leader link."""
+def random_connected_topology(rng, n_max: int = 12, k: int | None = None) -> Topology:
+    """Connected agent graph with at least one leader link, to 1..4 leaders
+    unless ``k`` is given."""
     n = int(rng.integers(2, n_max + 1))
     if k is None:
-        k = int(rng.integers(1, k_max + 1))
+        k = int(rng.integers(1, 5))
     return _connected_topology(rng, n, k)
 
 
-def random_topology(rng, linked: bool, n_max: int = 12, k_max: int = 4,
-                    k: int | None = None) -> Topology:
-    """Random topology; ``linked`` decides whether every component gets a link."""
+def random_topology(rng, linked: bool, n_max: int = 12, k: int | None = None) -> Topology:
+    """Random topology to 1..4 leaders unless ``k`` is given; ``linked``
+    decides whether every component gets a link."""
     g = random_graph(rng, n_max=n_max)
     if k is None:
-        k = int(rng.integers(1, k_max + 1))
+        k = int(rng.integers(1, 5))
     comps = g.components
     links = _random_links(rng, g, k)
     by_comp = {comp: [i for i in comp if any((i, q) in links for q in range(1, k + 1))]
@@ -118,8 +120,9 @@ def random_topology(rng, linked: bool, n_max: int = 12, k_max: int = 4,
     return Topology(g, LeaderLinks(g.n, k, link_tuple))
 
 
-def random_leader_set(rng, k: int, m: int, box=(0.0, 2.0)) -> LeaderSet:
-    return LeaderSet(rng.uniform(box[0], box[1], size=(k, m)))
+def random_leader_set(rng, k: int, m: int) -> LeaderSet:
+    """k leaders drawn uniformly from the box [0, 2]^m."""
+    return LeaderSet(rng.uniform(0.0, 2.0, size=(k, m)))
 
 
 def random_leader_pull_case(rng) -> tuple[Topology, LeaderLinks, LeaderSet]:
@@ -147,23 +150,24 @@ def _settle_rate(topo: Topology) -> float:
     return float(eig[zeros]) if zeros < len(eig) else 1.0
 
 
-def _integration_grid(topo: Topology, span_factor: float = 20.0):
-    """Step size stable for RK4 and a horizon long enough to settle."""
+def _integration_grid(topo: Topology):
+    """Step size stable for RK4 and a horizon of 20 time constants of the
+    slowest mode, long enough to settle."""
     dt = min(0.05, 0.5 / max(float(topo.spectrum[0][-1]), 1e-9))
-    steps = max(1, math.ceil(span_factor / (_settle_rate(topo) * dt)))
+    steps = max(1, math.ceil(20.0 / (_settle_rate(topo) * dt)))
     return dt, steps
 
 
-def settle_scenario(rng, connected: bool = True, n_max: int = 12, k_max: int = 4,
-                    m_max: int = 3) -> Scenario:
-    """Fixed-topology scenario integrated long enough for the limit to settle.
+def settle_scenario(rng, connected: bool = True, n_max: int = 12) -> Scenario:
+    """Fixed-topology scenario in 1..3 dimensions with 1..4 leaders,
+    integrated long enough for the limit to settle.
 
     Connected instances place agents anywhere in a desk-scale box. Instances
     with leaderless components place those agents in a box offset from the
     leaders' hull so their consensus mean stays well outside it.
     """
-    m = int(rng.integers(1, m_max + 1))
-    k = int(rng.integers(1, k_max + 1))
+    m = int(rng.integers(1, 4))
+    k = int(rng.integers(1, 5))
     leaders = random_leader_set(rng, k, m)
     if connected:
         topo = random_connected_topology(rng, n_max=n_max, k=k)
@@ -186,20 +190,20 @@ def settle_scenario(rng, connected: bool = True, n_max: int = 12, k_max: int = 4
     )
 
 
-def random_switched_scenario(rng, n_topologies: int = 3, m_max: int = 3,
-                             dwell_steps: int = 50, n_dwells: int = 12) -> Scenario:
-    """Switched scenario whose topologies are all leader-connected."""
-    m = int(rng.integers(1, m_max + 1))
+def random_switched_scenario(rng, n_topologies: int = 3) -> Scenario:
+    """Switched scenario in 1..3 dimensions whose topologies are all
+    leader-connected, with 12 dwells of 50 steps each."""
+    m = int(rng.integers(1, 4))
     k = int(rng.integers(1, 4))
     n = int(rng.integers(2, 9))
     leaders = random_leader_set(rng, k, m)
     topos = [(pid, _connected_topology(rng, n, k)) for pid in range(1, n_topologies + 1)]
     lam_max = max(float(t.spectrum[0][-1]) for _, t in topos)
     dt = min(0.02, 0.5 / max(lam_max, 1e-9))
-    dwell = dwell_steps * dt
+    dwell = 50 * dt
     entries = tuple(
         (l * dwell, 1 + int(rng.integers(0, n_topologies))) if l else (0.0, 1)
-        for l in range(n_dwells)
+        for l in range(12)
     )
     x_init = rng.uniform(-2.0, 8.0, size=(n, m))
     return Scenario(
@@ -209,21 +213,6 @@ def random_switched_scenario(rng, n_topologies: int = 3, m_max: int = 3,
         topologies=tuple(topos),
         schedule=SwitchingSchedule(entries),
         dt=dt,
-        t_final=n_dwells * dwell,
+        t_final=12 * dwell,
     )
 
-
-def random_projection_case(rng, k_max: int = 5, m_max: int = 3):
-    """A query point and leader set, occasionally degenerate on purpose."""
-    m = int(rng.integers(1, m_max + 1))
-    k = int(rng.integers(1, k_max + 1))
-    pos = rng.uniform(-3.0, 3.0, size=(k, m))
-    roll = rng.random()
-    if roll < 0.15 and k >= 2:
-        pos[int(rng.integers(0, k))] = pos[int(rng.integers(0, k))]  # may coincide
-    elif roll < 0.3 and k >= 3:
-        # force three collinear vertices
-        a, b = pos[0], pos[1]
-        pos[2] = a + rng.uniform(0.0, 1.0) * (b - a)
-    x = rng.uniform(-5.0, 5.0, size=m)
-    return x, LeaderSet(pos)

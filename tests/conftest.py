@@ -16,12 +16,15 @@ the file-text oracles format one f-string per cell, row by row (production
 formats each column block with one ``%`` and shares it between writers),
 and the segment oracle, which the trajectory oracle steps through, rounds
 each schedule time to the dt grid (production validates the grid once and
-keeps ``Scenario.segments``).
+keeps ``Scenario.segments``). The projection case sampler lives here too,
+since only tests draw it.
 """
 
 import itertools
 
 import numpy as np
+
+from containment.geometry import LeaderSet
 
 
 def projection_oracle(x, vertices):
@@ -87,6 +90,22 @@ def projection_batch_oracle(points, vertices):
             sq = 0.5 * ((p - gamma.T @ vs) ** 2).sum(axis=1)
             np.minimum(best, np.where(feasible, sq, np.inf), out=best)
     return best
+
+
+def random_projection_case(rng, k_max: int = 5, m_max: int = 3):
+    """A query point and leader set, occasionally degenerate on purpose."""
+    m = int(rng.integers(1, m_max + 1))
+    k = int(rng.integers(1, k_max + 1))
+    pos = rng.uniform(-3.0, 3.0, size=(k, m))
+    roll = rng.random()
+    if roll < 0.15 and k >= 2:
+        pos[int(rng.integers(0, k))] = pos[int(rng.integers(0, k))]  # may coincide
+    elif roll < 0.3 and k >= 3:
+        # force three collinear vertices
+        a, b = pos[0], pos[1]
+        pos[2] = a + rng.uniform(0.0, 1.0) * (b - a)
+    x = rng.uniform(-5.0, 5.0, size=m)
+    return x, LeaderSet(pos)
 
 
 def polygon_distance(points, polygon):

@@ -10,7 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import is_bar_connected, leaderless_components, projection_oracle
+from conftest import (
+    is_bar_connected,
+    leaderless_components,
+    projection_oracle,
+    random_projection_case,
+)
 
 from containment.analysis import check_theorem2, leader_pull_monotonicity
 from containment.builtin import example_one, example_one_topology, example_two, switched_demo
@@ -20,7 +25,6 @@ from containment.graph import LeaderLinks, build_h, components, laplacian
 from containment.linalg import sym_eigenvalues
 from containment.sampling import (
     random_graph,
-    random_projection_case,
     random_topology,
     rng_for,
     settle_scenario,

@@ -1,4 +1,5 @@
-"""Every name the package exports is used by the library itself.
+"""Every name the package exports, and every public function and class of
+its modules, is used by the library itself.
 
 A name that only tests call belongs in the tests, as an oracle, and not in
 the package's public surface.
@@ -6,6 +7,8 @@ the package's public surface.
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import containment
 
@@ -37,8 +40,31 @@ def referenced_names():
     return seen
 
 
+def script_entries():
+    """Names of the functions that ``[project.scripts]`` in pyproject.toml
+    runs: the console scripts read them."""
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    return {target.rpartition(":")[2] for target in scripts.values()}
+
+
 def test_every_export_is_used_by_the_library():
     assert sorted(exported_names() - referenced_names()) == []
+
+
+def test_every_public_definition_is_read_by_the_library():
+    read = referenced_names() | script_entries()
+    unread = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+    assert unread == []
 
 
 def test_every_import_is_read_in_its_module():

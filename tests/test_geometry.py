@@ -1,4 +1,6 @@
 import gc
+import os
+import subprocess
 import sys
 import weakref
 from math import comb
@@ -9,8 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import polygon_distance, projection_batch_oracle, projection_oracle
+from conftest import (
+    polygon_distance,
+    projection_batch_oracle,
+    projection_oracle,
+    random_projection_case,
+)
 
+import containment
 from containment.builtin import example_two
 from containment.dynamics import Scenario, SwitchingSchedule, simulate
 from containment.geometry import (
@@ -22,7 +30,7 @@ from containment.geometry import (
     project_points,
 )
 from containment.graph import AgentGraph, LeaderLinks, Topology
-from containment.sampling import random_projection_case, rng_for
+from containment.sampling import rng_for
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -205,9 +213,9 @@ class TestSubsetBound:
         assert count == sum(comb(k, s) for s in range(1, min(k, m + 1) + 1))
         pts = rng_for(k, m + 100).uniform(-2.0, 2.0, size=(400, m))
         project_points(pts, leaders)
-        supports = leaders.projector._support
-        assert len(supports) <= count
-        assert all(len(s) <= min(k, m + 1) for s in supports)
+        sizes = (leaders.projector._index < k).sum(axis=1)
+        assert len(sizes) <= count
+        assert (sizes <= min(k, m + 1)).all()
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=10, deadline=None)
@@ -330,7 +338,7 @@ class TestProjector:
         leaders = LeaderSet(rng_for(5).uniform(-1.0, 1.0, size=(12, 3)))
         pts = rng_for(6).uniform(-3.0, 3.0, size=(500, 3))
         first = project_points(pts, leaders)
-        assert sum(built) == len(leaders.projector._support) > 0
+        assert sum(built) == len(leaders.projector._index) > 0
         calls = len(built)
         assert (project_points(pts, leaders) == first).all()
         assert len(built) == calls
@@ -339,8 +347,9 @@ class TestProjector:
         leaders = LeaderSet(rng_for(8).uniform(-1.0, 1.0, size=(12, 3)))
         proj = leaders.projector
         project_points(rng_for(9).uniform(-3.0, 3.0, size=(500, 3)), leaders)
-        for row, support in enumerate(proj._support):
-            vs = proj.vertices[list(support)]
+        for row, index in enumerate(proj._index.tolist()):
+            support = [v for v in index if v < 12]
+            vs = proj.vertices[support]
             single = np.linalg.pinv((vs[1:] - vs[0]).T)
             assert (proj._einv[row, :len(support) - 1] == single).all()
             assert not proj._einv[row, len(support) - 1:].any()
@@ -435,6 +444,32 @@ class TestBatch:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             project_points(np.zeros((2, 3)), SEGMENT)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_empty_batch(self, k, m):
+        # for m >= 2 an empty batch once raised IndexError: the cache rows of
+        # its (no) supports came out as floats
+        leaders = LeaderSet(rng_for(k, m).uniform(-1.0, 1.0, size=(k, m)))
+        assert project_points(np.zeros((0, m)), leaders).shape == (0,)
+
+    def test_never_imports_numpy_ma(self):
+        # numpy 2 imports numpy.ma on the first np.unique of a numeric array,
+        # 1.16 MB under tracemalloc; a fresh interpreter sees the first one
+        code = """if True:
+            import sys
+            from test_geometry import example_two, project_points, simulate, swarm_points
+            assert "numpy.ma" not in sys.modules, "imported before projecting"
+            project_points(*swarm_points(3))
+            s = example_two()
+            project_points(simulate(s).states.reshape(-1, 2), s.leaders)
+            assert "numpy.ma" not in sys.modules, "imported by projecting"
+        """
+        src = str(Path(containment.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120,
+                       cwd=Path(__file__).parent)
 
 
 class TestCollinearityResidual:
