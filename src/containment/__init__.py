@@ -48,9 +48,7 @@ from .graph import (
     LeaderLinks,
     NotAllConnectedError,
     Topology,
-    adjacency,
     build_h,
-    components,
     laplacian,
     merge_links,
 )

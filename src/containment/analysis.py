@@ -252,13 +252,11 @@ def check_theorem2(s: Scenario) -> VerificationReport:
     d = traj.d_xi
     d0 = float(d[0])
     if d0 <= 1e-12:
-        max_ratio = float(d.max() / 1e-9)
-        env_ok = bool((d <= 1e-9).all())
+        bound = np.full(d.shape, 1e-9)
     else:
-        env = decay_envelope(traj.times, d0, lam1)
-        ratios = d / np.maximum(env, 1e-12)
-        max_ratio = float(ratios.max())
-        env_ok = bool((d <= np.maximum(env, 1e-12)).all())
+        bound = np.maximum(decay_envelope(traj.times, d0, lam1), 1e-12)
+    max_ratio = float((d / bound).max())
+    env_ok = bool((d <= bound).all())
     excess = np.diff(d) - 1e-9 * (1.0 + d[:-1])
     max_excess = float(excess.max()) if excess.size else 0.0
     mono_ok = max_excess <= 0.0

@@ -19,6 +19,8 @@ Naming used throughout the CLI:
 
 from __future__ import annotations
 
+from functools import partial
+
 from .dynamics import Scenario, SwitchingSchedule
 from .geometry import LeaderSet
 from .graph import AgentGraph, LeaderLinks, Topology, merge_links
@@ -119,10 +121,7 @@ def switched_demo() -> Scenario:
 
 
 BUILTIN_SCENARIOS = {
-    "example1-base": lambda: example_one("base"),
-    "example1-more-links": lambda: example_one("more-links"),
-    "example1-isolated-2": lambda: example_one("isolated-2"),
-    "example1-relay-5": lambda: example_one("relay-5"),
+    **{f"example1-{v}": partial(example_one, v) for v in EXAMPLE_ONE_VARIANTS},
     "example2": example_two,
     "necessity": necessity_demo,
     "switched": switched_demo,

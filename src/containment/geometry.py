@@ -351,7 +351,7 @@ def d_xi(x, leaders: LeaderSet) -> float:
     the sum of per-agent sq_dist values.
     """
     xv = np.asarray(x, dtype=float).reshape(-1)
-    if xv.size == 0 or xv.size % leaders.m:
+    if xv.size % leaders.m:
         raise ValueError(f"state length {xv.size} is not a multiple of m={leaders.m}")
     return float(project_points(xv.reshape(-1, leaders.m), leaders).sum())
 

@@ -7,16 +7,16 @@ least one agent with a direct link to some leader, i.e. the graph augmented
 with a single virtual node standing for all leaders is connected.
 
 Each record owns the data derived from it, as cached properties computed
-on first read: an ``AgentGraph`` its components, a ``Topology`` its link
-weights and its leaderless components. ``Topology.require_leader_connected``
-alone raises ``NotAllConnectedError``.
-Its composite matrix H = ``build_h`` is used only through the topology:
-``Topology.spectrum`` eigensolves it once, on first read, for every spectral
-consumer, and ``Topology.solve`` solves with it. H is positive definite
-exactly when the topology is leader-connected, since H is then an
-irreducibly diagonally dominant M-matrix on each component (Berman &
-Plemmons, Nonnegative Matrices in the Mathematical Sciences, ch. 6), so
-``solve`` decides solvability from the graph.
+on first read: an ``AgentGraph`` its component search, a ``Topology`` its
+link weights and its leaderless components. ``require_leader_connected``
+alone raises ``NotAllConnectedError``. One builder forms ``laplacian`` and
+H = ``build_h``, naming an agent whose summed weights overflow. H is used
+only through the topology: ``Topology.spectrum`` eigensolves it once, on
+first read, for every spectral consumer, and ``Topology.solve`` solves with
+it. H is positive definite exactly when the topology is leader-connected,
+since H is then an irreducibly diagonally dominant M-matrix on each
+component (Berman & Plemmons, Nonnegative Matrices in the Mathematical
+Sciences, ch. 6), so ``solve`` decides solvability from the graph.
 """
 
 from __future__ import annotations
@@ -87,8 +87,28 @@ class AgentGraph:
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        """``components(self)``, searched on first read."""
-        return components(self)
+        """Connected components as sorted agent tuples, ordered by smallest
+        member; searched on first read."""
+        neighbors: dict[int, list[int]] = {i: [] for i in range(1, self.n + 1)}
+        for i, j, _ in self.edges:
+            neighbors[i].append(j)
+            neighbors[j].append(i)
+        unseen = set(range(1, self.n + 1))
+        out = []
+        while unseen:
+            start = min(unseen)
+            stack = [start]
+            comp = {start}
+            unseen.discard(start)
+            while stack:
+                v = stack.pop()
+                for u in neighbors[v]:
+                    if u in unseen:
+                        unseen.discard(u)
+                        comp.add(u)
+                        stack.append(u)
+            out.append(tuple(sorted(comp)))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -119,10 +139,6 @@ class LeaderLinks:
         links = _weighted_pairs(self.links, "link",
                                 "(agent, leader) or (agent, leader, weight)", check)
         object.__setattr__(self, "links", links)
-
-    @property
-    def linked_agents(self) -> frozenset[int]:
-        return frozenset(i for i, _, _ in self.links)
 
 
 @dataclass(frozen=True)
@@ -160,8 +176,8 @@ class Topology:
     @cached_property
     def leaderless_components(self) -> tuple[tuple[int, ...], ...]:
         """Components with no link to any leader; empty iff leader-connected."""
-        linked = self.leaders.linked_agents
-        return tuple(c for c in self.graph.components if not any(i in linked for i in c))
+        linked = {i for i, _, _ in self.leaders.links}
+        return tuple(c for c in self.graph.components if linked.isdisjoint(c))
 
     def require_leader_connected(self, context: str = "") -> None:
         """Raise NotAllConnectedError, prefixed by ``context`` and naming the
@@ -191,13 +207,19 @@ class Topology:
             ) from None
 
 
-def adjacency(g: AgentGraph) -> np.ndarray:
-    """Symmetric weighted adjacency matrix with zero diagonal."""
+def _diag_minus_adjacency(g: AgentGraph, b: np.ndarray) -> np.ndarray:
+    """diag(degree + row sums of ``b``) - A for the weighted adjacency A of
+    ``g``; a ValueError names the first agent whose sum overflows."""
     a = np.zeros((g.n, g.n))
     for i, j, w in g.edges:
         a[i - 1, j - 1] = w
         a[j - 1, i - 1] = w
-    return a
+    with np.errstate(over="ignore"):
+        diag = a.sum(axis=1) + b.sum(axis=1)
+    bad = np.flatnonzero(~np.isfinite(diag))
+    if bad.size:
+        raise ValueError(f"agent {bad[0] + 1}: its summed weights overflow a double")
+    return np.diag(diag) - a
 
 
 def laplacian(g: AgentGraph) -> np.ndarray:
@@ -205,37 +227,12 @@ def laplacian(g: AgentGraph) -> np.ndarray:
 
     Rows sum to zero; the all-ones vector is always in the kernel.
     """
-    a = adjacency(g)
-    return np.diag(a.sum(axis=1)) - a
-
-
-def components(g: AgentGraph) -> tuple[tuple[int, ...], ...]:
-    """Connected components as sorted agent tuples, ordered by smallest member."""
-    neighbors: dict[int, list[int]] = {i: [] for i in range(1, g.n + 1)}
-    for i, j, _ in g.edges:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    unseen = set(range(1, g.n + 1))
-    out = []
-    while unseen:
-        start = min(unseen)
-        stack = [start]
-        comp = {start}
-        unseen.discard(start)
-        while stack:
-            v = stack.pop()
-            for u in neighbors[v]:
-                if u in unseen:
-                    unseen.discard(u)
-                    comp.add(u)
-                    stack.append(u)
-        out.append(tuple(sorted(comp)))
-    return tuple(out)
+    return _diag_minus_adjacency(g, np.zeros((g.n, 0)))
 
 
 def build_h(t: Topology) -> np.ndarray:
     """Composite feedback matrix: Laplacian plus total link weight per agent."""
-    return laplacian(t.graph) + np.diag(t.link_weights.sum(axis=1))
+    return _diag_minus_adjacency(t.graph, t.link_weights)
 
 
 def merge_links(a: LeaderLinks, b: LeaderLinks) -> LeaderLinks:

@@ -44,10 +44,6 @@ def _connected_edges(rng, agents: list[int]):
     return [(i, j, w) for (i, j), w in edges.items()]
 
 
-def random_connected_graph(rng, n: int) -> AgentGraph:
-    return AgentGraph(n, tuple(_connected_edges(rng, list(range(1, n + 1)))))
-
-
 def random_graph(rng, n_min: int = 2, n_max: int = 12) -> AgentGraph:
     """Random graph with 1..3 connected components."""
     n = int(rng.integers(n_min, n_max + 1))
@@ -75,7 +71,7 @@ def _random_links(rng, g: AgentGraph, k: int):
 def _connected_topology(rng, n: int, k: int) -> Topology:
     """Connected graph on n agents, random links to k leaders, and one forced
     link when none was drawn."""
-    g = random_connected_graph(rng, n)
+    g = AgentGraph(n, tuple(_connected_edges(rng, list(range(1, n + 1)))))
     links = _random_links(rng, g, k)
     if not links:
         links[(int(rng.integers(1, n + 1)), int(rng.integers(1, k + 1)))] = _weight(rng)

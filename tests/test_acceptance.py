@@ -21,7 +21,7 @@ from containment.analysis import check_theorem2, leader_pull_monotonicity
 from containment.builtin import example_one, example_one_topology, example_two, switched_demo
 from containment.dynamics import equilibrium, simulate
 from containment.geometry import collinearity_residual, project_points
-from containment.graph import LeaderLinks, build_h, components, laplacian
+from containment.graph import LeaderLinks, build_h, laplacian
 from containment.linalg import sym_eigenvalues
 from containment.sampling import (
     random_graph,
@@ -128,7 +128,7 @@ def test_criterion_7_spectral_checks():
     for trial in range(100):
         g = random_graph(rng_for(SEED + 2, trial))
         eigs = sym_eigenvalues(laplacian(g))
-        comps = components(g)
+        comps = g.components
         if int((np.abs(eigs) <= 1e-9).sum()) != len(comps):
             zero_mismatches += 1
         if (float(eigs[1]) > 1e-9) != (len(comps) == 1):

@@ -252,6 +252,26 @@ class TestTheorem2:
         assert rep.value("max_envelope_ratio") <= 1.0
 
 
+class TestOverflowingWeights:
+    # each weight is finite but agent 2's degree, or agent 1's link sum, is
+    # not: a numerics fault, not a theorem failure; numpy's overflow warning
+    # would fail these tests, because the pytest configuration makes it an error
+    CHAIN = AgentGraph(3, ((1, 2, 1e308), (2, 3, 1e308)))
+    DEGREE = Topology(CHAIN, LeaderLinks(3, 1, ((1, 1, 1.0),)))
+    LINKS = Topology(AgentGraph(2, ((1, 2, 1.0),)),
+                     LeaderLinks(2, 2, ((1, 1, 1e308), (1, 2, 1e308))))
+
+    def test_lemma1(self):
+        with pytest.raises(ValueError, match="^agent 2: its summed weights overflow"):
+            check_lemma1(self.CHAIN)
+
+    @pytest.mark.parametrize("check", [check_lemma2, check_row_stochastic])
+    def test_topology_checks(self, check):
+        for t, agent in ((self.DEGREE, 2), (self.LINKS, 1)):
+            with pytest.raises(ValueError, match=f"^agent {agent}: its summed weights"):
+                check(t)
+
+
 class TestRowStochastic:
     def test_chain(self):
         t = Topology(path(2), LeaderLinks(2, 1, ((1, 1, 1.0),)))

@@ -478,6 +478,25 @@ class TestExitCodes:
                      "--out", str(tmp_path / "t.csv")]) == 2
         assert "agents[0].position[0]: non-finite number" in capsys.readouterr().err
 
+    def test_overflowing_summed_weights_exit_2_naming_the_agent(self, tmp_path, capsys):
+        # agent 2 is linked by 1e308 to each of agents 1 and 3: its degree overflows
+        doc = scenario_to_dict(example_one("base")) | {
+            "m": 1, "t_final": 1.0, "dt": 0.1,
+            "agents": [{"id": i, "position": [float(i)]} for i in (1, 2, 3)],
+            "leaders": [{"id": 1, "position": [0.0]}],
+            "topologies": [{"id": 1, "edges": [[1, 2, 1e308], [2, 3, 1e308]],
+                            "leader_links": [[1, 1, 1.0]]}],
+            "schedule": [{"t": 0.0, "topology": 1}],
+        }
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "row-stochastic", "--scenario", str(path),
+                     "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: agent 2: its summed weights overflow a double\n"
+        assert not (tmp_path / "row-stochastic.txt").exists()
+
     def test_overflowing_span_exits_3(self, tmp_path, capsys):
         # the horizon from t0 = -1e308 to t_final = 1e308 overflows to inf
         doc = scenario_to_dict(example_one("base")) | {"t0": -1e308, "t_final": 1e308}

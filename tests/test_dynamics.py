@@ -244,9 +244,30 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             fixed(SOLO, np.zeros((0, 1)), SOLO_LEADER)
 
-    def test_strictly_increasing_required(self):
-        with pytest.raises(ScenarioError):
-            SwitchingSchedule(((0.0, 1), (0.0, 2)))
+    @pytest.mark.parametrize("entries, message", [
+        (((0.0, 1), (0.0, 2)), "schedule times must be strictly increasing"),
+        ((), "schedule needs at least one entry"),
+    ], ids=["repeated-time", "empty"])
+    def test_schedule_entries_checked(self, entries, message):
+        with pytest.raises(ScenarioError, match=message):
+            SwitchingSchedule(entries)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"x_init": [[math.nan]]}, "x_init must be finite"),
+        ({"x_init": [[math.inf]]}, "x_init must be finite"),
+        ({"topologies": ()}, "need at least one topology"),
+        ({"topologies": ((1, SOLO), (1, SOLO))}, "topology ids must be unique"),
+        ({"topologies": ((1, SOLO), (2, CHAIN2))}, "topology 2 has 2 agents, expected 1"),
+        ({"topologies": ((1, SOLO), (3, Topology(AgentGraph(1), LeaderLinks(1, 2))))},
+         "topology 3 links 2 leaders, expected 1"),
+    ], ids=["nan-x_init", "inf-x_init", "no-topologies", "duplicate-ids",
+            "agent-count", "leader-count"])
+    def test_rejects_inconsistent_fields(self, fields, message):
+        with pytest.raises(ScenarioError, match=f"^{message}$"):
+            Scenario(**{"m": 1, "x_init": [[0.0]], "leaders": SOLO_LEADER,
+                        "topologies": ((1, SOLO),),
+                        "schedule": SwitchingSchedule(((0.0, 1),)),
+                        "dt": 0.01, "t_final": 1.0} | fields)
 
     def test_rejects_non_positive_dt(self):
         for dt, message in ((0.0, "dt must be positive"), (-0.01, "dt must be positive"),

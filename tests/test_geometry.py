@@ -406,8 +406,13 @@ class TestDXi:
         assert d_xi([5.0, 5.5], SEGMENT) == pytest.approx(10.625, abs=1e-12)
 
     def test_rejects_bad_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="state length 3 is not a multiple of m=2"):
             d_xi([1.0, 2.0, 3.0], TRIANGLE)
+
+    @pytest.mark.parametrize("leaders", [SEGMENT, TRIANGLE], ids=["m1", "m2"])
+    def test_empty_state_is_zero(self, leaders):
+        # the sum over no agents, as project_points returns [] for an empty batch
+        assert d_xi([], leaders) == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):

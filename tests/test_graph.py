@@ -12,9 +12,7 @@ from containment.graph import (
     LeaderLinks,
     NotAllConnectedError,
     Topology,
-    adjacency,
     build_h,
-    components,
     laplacian,
     merge_links,
 )
@@ -74,9 +72,23 @@ class TestLaplacian:
         g = random_graph(rng_for(seed), n_min=1, n_max=9)
         lap = laplacian(g)
         assert np.abs(lap.sum(axis=1)).max() <= 1e-12
-        a = adjacency(g)
+        a = np.diag(np.diag(lap)) - lap
         np.testing.assert_array_equal(a, a.T)
         assert np.abs(np.diag(a)).max() == 0.0
+        assert a.min() >= 0.0
+
+    @pytest.mark.parametrize("edges, links, agent", [
+        (((1, 2, 1e308), (2, 3, 1e308)), ((1, 1, 1.0),), 2),
+        (((1, 2, 1.0), (2, 3, 1.0)), ((3, 1, 1e308), (3, 2, 1e308)), 3),
+        (((1, 2, 1e308), (2, 3, 1.0)), ((1, 1, 1e308),), 1),
+    ], ids=["degree", "link-sum", "degree-plus-links"])
+    def test_overflowing_sum_names_its_agent(self, edges, links, agent):
+        # each weight is finite, but an agent's sum passes the largest double;
+        # the pytest configuration turns numpy's overflow warning into an error
+        t = Topology(AgentGraph(3, edges), LeaderLinks(3, 2, links))
+        with pytest.raises(ValueError,
+                           match=f"^agent {agent}: its summed weights overflow a double$"):
+            build_h(t)
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
@@ -84,7 +96,7 @@ class TestLaplacian:
         g = random_graph(rng_for(seed), n_min=2, n_max=9)
         eigs = sym_eigenvalues(laplacian(g))
         n_zero = int((np.abs(eigs) <= 1e-9).sum())
-        comps = components(g)
+        comps = g.components
         assert n_zero == len(comps)
         assert abs(eigs[0]) <= 1e-9
         if len(comps) == 1:
@@ -93,29 +105,30 @@ class TestLaplacian:
 
 class TestComponents:
     def test_connected_path(self):
-        assert components(path(3)) == ((1, 2, 3),)
+        assert path(3).components == ((1, 2, 3),)
 
     def test_isolated_agents(self):
         g = AgentGraph(4, ((1, 2, 1.0),))
-        assert components(g) == ((1, 2), (3,), (4,))
+        assert g.components == ((1, 2), (3,), (4,))
 
     def test_two_triangles(self):
         g = AgentGraph(
             6,
             ((1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0), (4, 5, 1.0), (5, 6, 1.0), (4, 6, 1.0)),
         )
-        assert components(g) == ((1, 2, 3), (4, 5, 6))
+        assert g.components == ((1, 2, 3), (4, 5, 6))
 
     def test_searched_once_per_graph(self, monkeypatch):
         # lemma 1, lemma 2, the leaderless components and a random topology's
         # draw all read the graph's one search
         calls = []
+        search = graph.AgentGraph.components.func
 
         def counted(g):
             calls.append(g)
-            return components(g)
+            return search(g)
 
-        monkeypatch.setattr(graph, "components", counted)
+        monkeypatch.setattr(graph.AgentGraph.components, "func", counted)
         g = AgentGraph(4, ((1, 2, 1.0), (3, 4, 2.0)))
         t = Topology(g, LeaderLinks(4, 1, ((1, 1, 1.0), (4, 1, 1.0))))
         assert g.components == ((1, 2), (3, 4))
@@ -301,12 +314,13 @@ class TestSolve:
 
     def test_components_searched_once_per_topology(self, monkeypatch):
         calls = []
+        search = graph.AgentGraph.components.func
 
         def counted(g):
             calls.append(g)
-            return components(g)
+            return search(g)
 
-        monkeypatch.setattr(graph, "components", counted)
+        monkeypatch.setattr(graph.AgentGraph.components, "func", counted)
         t = Topology(path(3), LeaderLinks(3, 2, ((1, 1, 1.0), (3, 2, 0.5))))
         leaders = LeaderSet(((0.0,), (1.0,)))
         t.solve(np.ones(3))

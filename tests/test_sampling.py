@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from containment import sampling
-from containment.graph import AgentGraph, LeaderLinks, Topology, build_h, components, laplacian
+from containment.graph import AgentGraph, LeaderLinks, Topology, build_h, laplacian
 
 
 def per_component_rate(topo):
@@ -12,9 +12,9 @@ def per_component_rate(topo):
     block of H and the algebraic connectivity of each leaderless block of two
     or more agents; 1.0 when there is neither."""
     h, lap = build_h(topo), laplacian(topo.graph)
-    linked = topo.leaders.linked_agents
+    linked = {i for i, _, _ in topo.leaders.links}
     rates = []
-    for comp in components(topo.graph):
+    for comp in topo.graph.components:
         block = np.ix_([i - 1 for i in comp], [i - 1 for i in comp])
         if any(i in linked for i in comp):
             rates.append(float(np.linalg.eigvalsh(h[block])[0]))

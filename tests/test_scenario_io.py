@@ -137,6 +137,35 @@ class TestScenarioParsing:
                            match=re.escape(f"<scenario>{where}: non-finite number")):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("m",), 1.5, ".m: expected an integer, got 1.5"),
+        (("m",), 0, ".m: dimension must be positive"),
+        (("dt",), "0.01", ".dt: expected a number, got '0.01'"),
+        (("agents",), {}, ".agents: expected a list, got dict"),
+        (("agents", 0), [1], ".agents[0]: expected an object, got list"),
+        (("dt",), None, ": missing keys ['dt']"),
+        (("agents",), [], ".agents: needs at least one agent"),
+        (("leaders",), [], ".leaders: needs at least one leader"),
+        (("agents", 1, "id"), 1, ".agents[1].id: duplicate agent id 1"),
+        (("leaders", 1, "id"), 1, ".leaders[1].id: duplicate leader id 1"),
+        (("schedule",), [], ".schedule: needs at least one entry"),
+    ], ids=["m-float", "m-zero", "dt-string", "agents-object", "agent-list",
+            "missing-dt", "no-agents", "no-leaders", "duplicate-agent",
+            "duplicate-leader", "empty-schedule"])
+    def test_invalid_value_names_its_key(self, path, value, message):
+        # a value of None deletes the key
+        doc = scenario_to_dict(example_one("base"))
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        if value is None:
+            del node[last]
+        else:
+            node[last] = value
+        with pytest.raises(FileFormatError, match=f"^{re.escape('<scenario>' + message)}$"):
+            parse_scenario(json.dumps(doc))
+
     def test_structural_error_is_scenario_error(self):
         doc = scenario_to_dict(example_one("base"))
         doc["dt"] = 0.3  # horizon 50 is not a multiple
@@ -228,6 +257,7 @@ class TestTrajectoryFiles:
         ("0,1,0,1.5", "topology"),
         ("0,1,0,nan", "topology"),
         ("0,1#,0,1", "'1#'"),
+        ("0,,0,1", "line 2: cell '' is not a number"),
     ])
     def test_rejects_bad_cells(self, tmp_path, row, match):
         path = tmp_path / "bad.csv"
