@@ -51,7 +51,9 @@ def _weighted_pairs(pairs, noun: str, shape: str, check) -> tuple[tuple[int, int
         else:
             raise ValueError(f"{noun} {e!r} must be {shape}")
         key = check(a, b)
-        if w <= 0 or not np.isfinite(w):
+        if not np.isfinite(w):
+            raise ValueError(f"{noun} ({a}, {b}) weight {w} is not finite")
+        if w <= 0:
             raise ValueError(f"{noun} ({a}, {b}) weight {w} must be positive")
         if key in seen:
             raise ValueError(f"duplicate {noun} ({key[0]}, {key[1]})")
@@ -236,11 +238,15 @@ def build_h(t: Topology) -> np.ndarray:
 
 
 def merge_links(a: LeaderLinks, b: LeaderLinks) -> LeaderLinks:
-    """Union of two link sets; weights on shared (agent, leader) pairs add."""
+    """Union of two link sets; weights on shared (agent, leader) pairs add,
+    and a ValueError names the first pair whose sum overflows."""
     if (a.n, a.k) != (b.n, b.k):
         raise ValueError("link sets describe different systems")
     acc: dict[tuple[int, int], float] = {}
     for agent, leader, w in a.links + b.links:
-        acc[(agent, leader)] = acc.get((agent, leader), 0.0) + w
+        total = acc.get((agent, leader), 0.0) + w
+        if not np.isfinite(total):
+            raise ValueError(f"link ({agent}, {leader}): its summed weights overflow a double")
+        acc[(agent, leader)] = total
     links = tuple((i, q, w) for (i, q), w in sorted(acc.items()))
     return LeaderLinks(a.n, a.k, links)

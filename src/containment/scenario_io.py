@@ -4,9 +4,9 @@ Scenario documents are strict: unknown keys are rejected and every error
 message carries the key path (or line/column for malformed JSON) so the CLI
 can point at the offending spot. Trajectory tables use 9 significant digits,
 enough to verify 1e-6-level properties downstream, and are written
-deterministically so repeated runs are byte-identical. Each cell of a
-trajectory is formatted once, in blocks of rows, and the CSV and plot-data
-writers share the result, which lives as long as the trajectory does.
+deterministically so repeated runs are byte-identical. A trajectory is
+formatted once, row-major, per block of rows and group (times, an agent,
+d_xi, topology), into text both writers share.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .graph import AgentGraph, LeaderLinks, Topology
 
 _TOP_KEYS = ("m", "t0", "t_final", "dt", "agents", "leaders", "topologies", "schedule")
 _ROWS_PER_WRITE = 1024
-# Trajectory -> {column: formatted blocks}; see _cells
+# Trajectory -> {group: formatted blocks}; see _group
 _FORMATTED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -228,50 +228,49 @@ def write_scenario(s: Scenario, path) -> Path:
     return p
 
 
-def _format_cells(values, spec: str) -> str:
-    """The numbers of a 1-D array as one comma-joined string, formatted by one
-    ``%`` for the whole array; ``'%.9g' % v`` and ``f"{v:.9g}"`` give the same
-    bytes."""
-    return ",".join([spec] * len(values)) % tuple(values.tolist())
+def _format_rows(values, line: str) -> str:
+    """Rows of an array, one ``line % row`` each, as one ``%`` call's text;
+    ``'%.9g' % v`` and ``f"{v:.9g}"`` give the same bytes."""
+    return "\n".join([line] * len(values)) % tuple(values.ravel().tolist())
 
 
-def _cells(traj: Trajectory, column) -> list[str]:
-    """Trajectory column ``'times'``, ``'d_xi'``, ``'topologies'`` or state
-    column ``column``, one ``_format_cells`` string per block of
-    ``_ROWS_PER_WRITE`` rows. Memoized on the trajectory, which is immutable,
-    so both writers format it once."""
+def _group(traj: Trajectory, group) -> list[str]:
+    """Group ``'times'``, ``'d_xi'``, ``'topologies'`` or agent ``group``, one
+    space-separated text per ``_ROWS_PER_WRITE`` rows, memoized on the
+    immutable trajectory for both writers."""
     memo = _FORMATTED.setdefault(traj, {})
-    if column not in memo:
-        values = getattr(traj, column) if isinstance(column, str) else traj.states[:, column]
-        spec = "%d" if column == "topologies" else "%.9g"
-        memo[column] = [_format_cells(values[j : j + _ROWS_PER_WRITE], spec)
-                        for j in range(0, len(values), _ROWS_PER_WRITE)]
-    return memo[column]
+    if group not in memo:
+        if isinstance(group, str):
+            values, line = getattr(traj, group), "%d" if group == "topologies" else "%.9g"
+        else:
+            values = traj.states[:, group * traj.m : (group + 1) * traj.m]
+            line = " ".join(["%.9g"] * traj.m)
+        memo[group] = [_format_rows(values[j : j + _ROWS_PER_WRITE], line)
+                       for j in range(0, len(values), _ROWS_PER_WRITE)]
+    return memo[group]
 
 
-def _write_rows(f, columns, sep: str) -> None:
-    """Write the rows of columns given as lists of comma-joined blocks, cells
-    joined by ``sep``, one block of rows at a time."""
-    for block in zip(*columns):
-        f.write("\n".join(map(sep.join, zip(*(b.split(",") for b in block)))) + "\n")
+def _write_rows(f, groups, sep: str) -> None:
+    """Write groups of block texts side by side, cells joined by ``sep``,
+    a lone group as it is. No cell holds a space."""
+    for block in zip(*groups):
+        rows = block[0] if len(block) == 1 else "\n".join(
+            map(" ".join, zip(*(b.split("\n") for b in block))))
+        f.write(rows.replace(" ", sep) + "\n")
 
 
 def trajectory_header(n: int, m: int) -> list[str]:
-    cols = ["t"]
-    for i in range(1, n + 1):
-        for d in range(1, m + 1):
-            cols.append(f"a{i}_{d}")
-    cols.extend(["d_xi", "topology"])
-    return cols
+    agents = [f"a{i}_{d}" for i in range(1, n + 1) for d in range(1, m + 1)]
+    return ["t", *agents, "d_xi", "topology"]
 
 
 def write_trajectory(traj: Trajectory, path) -> Path:
     """CSV table: t, per-agent coordinates, d_xi, active topology id."""
     p = _out_path(path)
-    columns = ["times", *range(traj.n * traj.m), "d_xi", "topologies"]
+    groups = ["times", *range(traj.n), "d_xi", "topologies"]
     with p.open("w") as f:
         f.write(",".join(trajectory_header(traj.n, traj.m)) + "\n")
-        _write_rows(f, [_cells(traj, c) for c in columns], ",")
+        _write_rows(f, [_group(traj, g) for g in groups], ",")
     return p
 
 
@@ -286,15 +285,17 @@ def _reads(text: str) -> bool:
     return True
 
 
-def _first_bad_cell(rows) -> str | None:
-    """Locate, by file line, the first cell of (line number, text) rows that
-    is not a number. Runs only after the one-call parse has failed."""
+def _diagnose(rows, cells: int) -> str | None:
+    """By file line, the first of (line number, text) rows without ``cells``
+    cells, else the first cell that is not a number."""
+    for no, line in rows:
+        if line.count(",") != cells - 1:
+            return f"line {no}: expected {cells} cells"
     for no, line in rows:
         if not _reads(line):
             for cell in line.split(","):
                 if not _reads(cell):
                     return f"line {no}: cell {cell!r} is not a number"
-    return None
 
 
 def read_trajectory(path) -> Trajectory:
@@ -319,14 +320,13 @@ def read_trajectory(path) -> Trajectory:
         known = False
     if not known:
         raise FileFormatError(f"{p}: unexpected header {head!r}")
-    for no, line in rows:
-        if line.count(",") != len(header) - 1:
-            raise FileFormatError(f"{p}: line {no}: expected {len(header)} cells")
     try:
         # comments=None: a '#' inside a cell is a bad number, not a comment
         table = np.loadtxt([ln for _, ln in rows], delimiter=",", comments=None, ndmin=2)
+        if table.shape[1] != len(header):
+            raise ValueError("wrong row width")
     except ValueError as e:
-        raise FileFormatError(f"{p}: {_first_bad_cell(rows) or e}") from None
+        raise FileFormatError(f"{p}: {_diagnose(rows, len(header)) or e}") from None
     t, topo = table[:, 0], table[:, -1]
     if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
         raise FileFormatError(f"{p}: sample times must be finite and strictly increasing")
@@ -350,18 +350,17 @@ def write_plot_data(traj: Trajectory, path, leaders: LeaderSet | None = None) ->
     if leaders is not None and leaders.m != traj.m:
         raise ValueError("leader dimension does not match the trajectory")
     p = _out_path(path)
-    agents = [[_cells(traj, c) for c in range(i * traj.m, (i + 1) * traj.m)]
-              for i in range(traj.n)]
-    blocks = [(f"# agent {i} time series: t coordinates", [_cells(traj, "times"), *cols])
-              for i, cols in enumerate(agents, 1)]
+    agents = [_group(traj, i) for i in range(traj.n)]
+    blocks = [(f"# agent {i} time series: t coordinates", [_group(traj, "times"), rows])
+              for i, rows in enumerate(agents, 1)]
     if leaders is not None:
-        ids = ",".join(map(str, range(1, leaders.k + 1)))
-        coords = [[_format_cells(c, "%.9g")] for c in leaders.positions.T]
-        blocks.append(("# leaders: id coordinates", [[ids], *coords]))
+        table = np.column_stack([np.arange(1, leaders.k + 1), leaders.positions])
+        blocks.append(("# leaders: id coordinates",
+                       [[_format_rows(table, "%d" + " %.9g" * leaders.m)]]))
     if traj.m == 2:
-        blocks += [(f"# agent {i} path: x y", cols) for i, cols in enumerate(agents, 1)]
+        blocks += [(f"# agent {i} path: x y", [rows]) for i, rows in enumerate(agents, 1)]
     with p.open("w") as f:
-        for b, (title, cols) in enumerate(blocks):
+        for b, (title, groups) in enumerate(blocks):
             f.write(("\n\n" if b else "") + title + "\n")
-            _write_rows(f, cols, " ")
+            _write_rows(f, groups, " ")
     return p

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,17 @@ class TestAgentGraph:
     def test_rejects_invalid(self, n, edges):
         with pytest.raises(ValueError):
             AgentGraph(n, edges)
+
+    @pytest.mark.parametrize("weight, fault", [
+        (math.inf, "inf is not finite"),
+        (math.nan, "nan is not finite"),
+        (-1.0, "-1.0 must be positive"),
+    ], ids=["inf", "nan", "negative"])
+    def test_bad_weight_message(self, weight, fault):
+        with pytest.raises(ValueError, match=rf"^edge \(1, 2\) weight {fault}$"):
+            AgentGraph(2, ((1, 2, weight),))
+        with pytest.raises(ValueError, match=rf"^link \(1, 1\) weight {fault}$"):
+            LeaderLinks(2, 1, ((1, 1, weight),))
 
 
 class TestLaplacian:
@@ -227,6 +240,12 @@ class TestLeaderLinks:
         b = LeaderLinks(2, 2, ((1, 1, 0.5), (2, 2, 1.0)))
         merged = merge_links(a, b)
         assert merged.links == ((1, 1, 1.5), (2, 2, 1.0))
+
+    def test_merge_names_an_overflowing_sum(self):
+        a = LeaderLinks(2, 1, ((1, 1, 1e308),))
+        with pytest.raises(ValueError,
+                           match=r"^link \(1, 1\): its summed weights overflow a double$"):
+            merge_links(a, a)
 
     def test_merge_rejects_mismatch(self):
         with pytest.raises(ValueError):

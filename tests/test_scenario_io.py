@@ -223,6 +223,13 @@ class TestTrajectoryFiles:
         with pytest.raises(FileFormatError, match="expected 4 cells"):
             read_trajectory(path)
 
+    def test_rejects_rows_uniformly_one_cell_short(self, tmp_path):
+        # every row parses, as a table one column narrower than the header
+        path = tmp_path / "bad.csv"
+        path.write_text("t,a1_1,d_xi,topology\n\n0,1,0\n1,1,0\n2,1,0\n")
+        with pytest.raises(FileFormatError, match=r"bad\.csv: line 3: expected 4 cells$"):
+            read_trajectory(path)
+
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,a1_1,d_xi,topology\n0,1,0,1\n")
@@ -429,44 +436,53 @@ class TestWritersMatchOracles:
                                      synthetic_leaders(m))
 
     @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64),
-                    min_size=1, max_size=40))
-    def test_percent_format_is_f_string(self, values):
-        expected = ",".join(f"{v:.9g}" for v in values)
-        assert scenario_io._format_cells(np.array(values), "%.9g") == expected
+    @given(st.integers(1, 3).flatmap(lambda m: st.lists(
+        st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64)
+                 | st.sampled_from(_SPECIAL), min_size=m, max_size=m),
+        min_size=1, max_size=40)))
+    def test_row_format_is_f_string(self, rows):
+        expected = "\n".join(" ".join(f"{v:.9g}" for v in row) for row in rows)
+        line = " ".join(["%.9g"] * len(rows[0]))
+        assert scenario_io._format_rows(np.array(rows), line) == expected
+
+
+def count_group_formats(monkeypatch) -> list[tuple[int, str]]:
+    """Record (rows, line) of every ``_format_rows`` call from now on."""
+    calls = []
+    real = scenario_io._format_rows
+
+    def counting(values, line):
+        calls.append((len(values), line))
+        return real(values, line)
+
+    monkeypatch.setattr(scenario_io, "_format_rows", counting)
+    return calls
 
 
 class TestFormattedOnce:
-    def test_each_column_block_formatted_once(self, tmp_path, monkeypatch):
+    def test_each_group_block_formatted_once(self, tmp_path, monkeypatch):
         traj, leaders = synthetic_trajectory(2049), synthetic_leaders(2)
-        calls = []
-        real = scenario_io._format_cells
-
-        def counting(values, spec):
-            calls.append(len(values))
-            return real(values, spec)
-
-        monkeypatch.setattr(scenario_io, "_format_cells", counting)
+        calls = count_group_formats(monkeypatch)
         write_trajectory(traj, tmp_path / "t.csv")
-        # 3 blocks each of t, 4 state columns, d_xi and topology
-        assert sorted(calls) == sorted([1024, 1024, 1] * 7)
+        # 3 blocks each of t, 2 agents, d_xi and topology
+        assert sorted(calls) == sorted(
+            (rows, line) for rows in (1024, 1024, 1)
+            for line in ("%.9g", "%.9g %.9g", "%.9g %.9g", "%.9g", "%d"))
         calls.clear()
         write_plot_data(traj, tmp_path / "p.dat")
         assert calls == []
         write_plot_data(traj, tmp_path / "p.dat", leaders=leaders)
-        assert calls == [3, 3]  # the leader columns, which are not memoized
+        assert calls == [(3, "%d %.9g %.9g")]  # the leader block, which is not memoized
 
-    def test_plot_data_first_leaves_csv_only_its_own_columns(self, tmp_path, monkeypatch):
+    def test_plot_data_first_leaves_csv_only_its_own_groups(self, tmp_path, monkeypatch):
         traj = synthetic_trajectory(1025)
-        calls = []
-        real = scenario_io._format_cells
-        monkeypatch.setattr(scenario_io, "_format_cells",
-                            lambda values, spec: calls.append(spec) or real(values, spec))
+        calls = count_group_formats(monkeypatch)
         write_plot_data(traj, tmp_path / "p.dat")
-        assert len(calls) == 2 * 5  # t and 4 state columns; d_xi is not plotted
+        assert len(calls) == 2 * 3  # t and 2 agents; d_xi is not plotted
         calls.clear()
         write_trajectory(traj, tmp_path / "t.csv")
-        assert sorted(calls) == ["%.9g", "%.9g", "%d", "%d"]  # 2 blocks each of d_xi, topology
+        # 2 blocks each of d_xi and topology
+        assert sorted(calls) == [(1, "%.9g"), (1, "%d"), (1024, "%.9g"), (1024, "%d")]
 
     def test_memo_does_not_pin_the_trajectory(self, tmp_path):
         traj = synthetic_trajectory(50)
