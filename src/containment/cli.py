@@ -54,16 +54,15 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _seed(text: str) -> int:
-    """The value of ``--seed``: numpy seeds its generators only from
-    non-negative integers."""
+def _at_least(text: str, low: int, kind: str) -> int:
+    """An integer option of at least ``low``, refused as not a ``kind`` integer."""
     try:
-        seed = int(text)
+        value = int(text)
     except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
-    return seed
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be a {kind} integer, not {text!r}")
+    return value
 
 
 def _load_scenario_arg(value: str, **overrides) -> Scenario:
@@ -196,9 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "CHECK and --check")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--scenario", help="scenario file path or builtin:<name>")
-    source.add_argument("--random", type=int, metavar="N",
+    source.add_argument("--random", type=lambda s: _at_least(s, 1, "positive"), metavar="N",
                         help="run a seeded random campaign of N trials instead")
-    p.add_argument("--seed", type=_seed, default=0)
+    # numpy seeds its generators only from non-negative integers
+    p.add_argument("--seed", type=lambda s: _at_least(s, 0, "non-negative"), default=0)
     p.add_argument("--out", default="reports", help="report output directory")
 
     p = sub.add_parser("plotdata", help="emit gnuplot-ready series from a trajectory CSV")

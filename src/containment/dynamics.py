@@ -19,7 +19,11 @@ step is the matrix map x -> r(-dt H) x + dt p(-dt H) f with
     r(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 = 1 + z p(z),
     p(z) = 1 + z/2 + z^2/6 + z^3/24
 
-(Hairer & Wanner, Solving ODEs II, section IV.2). With H = V diag(lambda) V^T
+(Hairer & Wanner, Solving ODEs II, section IV.2). As r(-x) = 1 - x p(-x),
+|r(-dt lambda)| <= 1 exactly for 0 <= dt lambda <= 2.78529356340528162..., the
+root of p(-x). ``Scenario``'s one rule for dt is dt lambda_max < ``_RK4_LIMIT``,
+the first double past that root, on each scheduled topology; NaN and inf fail
+it. With H = V diag(lambda) V^T
 from ``Topology.spectrum``, computed once per topology, mode i of y = V^T x
 after j steps is exactly
 
@@ -45,6 +49,7 @@ from .graph import Topology
 
 GRID_REL_TOL = 1e-6
 _ROWS = 64  # sample rows per block of the closed-form segment tables
+_RK4_LIMIT = 2.785293563405282
 
 
 class ScenarioError(ValueError):
@@ -73,11 +78,6 @@ class SwitchingSchedule:
     @property
     def times(self) -> tuple[float, ...]:
         return tuple(t for t, _ in self.entries)
-
-
-def _rk4_p(z):
-    """p(z) of RK4's stability polynomial r(z) = 1 + z p(z)."""
-    return 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0
 
 
 def _grid_steps(span: float, dt: float, what: str) -> int:
@@ -166,15 +166,12 @@ class Scenario:
         for pid in sorted({pid for _, _, pid in segments}):
             if pid not in ids:
                 raise ScenarioError(f"schedule uses unknown topology id {pid}")
-            # |r(-dt*lambda)| <= 1 holds exactly for 0 <= dt*lambda <= 2.785, so
-            # lambda_max decides; a leaderless block's zero eigenvalue can come
-            # out as -1e-17, whose |r| exceeds 1 by rounding
             lam_max = float(self.topology(pid).spectrum[0][-1])
-            z = -self.dt * lam_max
-            if abs(1.0 + z * _rk4_p(z)) > 1.0:
+            if not self.dt * lam_max < _RK4_LIMIT:
                 raise ScenarioError(
                     f"dt={self.dt} is unstable for RK4 on topology {pid} "
-                    f"(dt * lambda_max = {-z:.4g}); use dt <= {2.5 / lam_max:.3g}"
+                    f"(dt * lambda_max = {self.dt * lam_max:.4g}); "
+                    f"use dt <= {2.5 / lam_max:.3g}"
                 )
 
     @property
@@ -227,7 +224,7 @@ def _segment(out: np.ndarray, x0: np.ndarray, steps, lam: np.ndarray,
     states flattened agent-major."""
     n, m = f.shape
     z = -dt * lam
-    p = _rk4_p(z)
+    p = 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0
     zp = z * p  # r - 1 without the cancellation
     log_r = np.log1p(zp)
     moving = zp != 0.0

@@ -6,7 +6,9 @@ can point at the offending spot. Trajectory tables use 9 significant digits,
 enough to verify 1e-6-level properties downstream, and are written
 deterministically so repeated runs are byte-identical. A trajectory is
 formatted once, row-major, per block of rows and group (times, an agent,
-d_xi, topology), into text both writers share.
+d_xi, topology), into space-separated text both writers share. The CSV joins
+a block's groups row by row with commas; the plot file joins the time lines,
+split once per block, to each agent's rows and writes path blocks as they are.
 """
 
 from __future__ import annotations
@@ -250,15 +252,6 @@ def _group(traj: Trajectory, group) -> list[str]:
     return memo[group]
 
 
-def _write_rows(f, groups, sep: str) -> None:
-    """Write groups of block texts side by side, cells joined by ``sep``,
-    a lone group as it is. No cell holds a space."""
-    for block in zip(*groups):
-        rows = block[0] if len(block) == 1 else "\n".join(
-            map(" ".join, zip(*(b.split("\n") for b in block))))
-        f.write(rows.replace(" ", sep) + "\n")
-
-
 def trajectory_header(n: int, m: int) -> list[str]:
     agents = [f"a{i}_{d}" for i in range(1, n + 1) for d in range(1, m + 1)]
     return ["t", *agents, "d_xi", "topology"]
@@ -270,7 +263,9 @@ def write_trajectory(traj: Trajectory, path) -> Path:
     groups = ["times", *range(traj.n), "d_xi", "topologies"]
     with p.open("w") as f:
         f.write(",".join(trajectory_header(traj.n, traj.m)) + "\n")
-        _write_rows(f, [_group(traj, g) for g in groups], ",")
+        for block in zip(*(_group(traj, g) for g in groups)):
+            rows = "\n".join(map(" ".join, zip(*(b.split("\n") for b in block))))
+            f.write(rows.replace(" ", ",") + "\n")
     return p
 
 
@@ -350,17 +345,20 @@ def write_plot_data(traj: Trajectory, path, leaders: LeaderSet | None = None) ->
     if leaders is not None and leaders.m != traj.m:
         raise ValueError("leader dimension does not match the trajectory")
     p = _out_path(path)
+    times = [b.split("\n") for b in _group(traj, "times")]
     agents = [_group(traj, i) for i in range(traj.n)]
-    blocks = [(f"# agent {i} time series: t coordinates", [_group(traj, "times"), rows])
+    blocks = [(f"# agent {i} time series: t coordinates",
+               ("\n".join(map(" ".join, zip(t, b.split("\n")))) for t, b in zip(times, rows)))
               for i, rows in enumerate(agents, 1)]
     if leaders is not None:
         table = np.column_stack([np.arange(1, leaders.k + 1), leaders.positions])
         blocks.append(("# leaders: id coordinates",
-                       [[_format_rows(table, "%d" + " %.9g" * leaders.m)]]))
+                       [_format_rows(table, "%d" + " %.9g" * leaders.m)]))
     if traj.m == 2:
-        blocks += [(f"# agent {i} path: x y", [rows]) for i, rows in enumerate(agents, 1)]
+        blocks += [(f"# agent {i} path: x y", rows) for i, rows in enumerate(agents, 1)]
     with p.open("w") as f:
-        for b, (title, groups) in enumerate(blocks):
+        for b, (title, texts) in enumerate(blocks):
             f.write(("\n\n" if b else "") + title + "\n")
-            _write_rows(f, groups, " ")
+            for text in texts:
+                f.write(text + "\n")
     return p

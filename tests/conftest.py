@@ -11,7 +11,9 @@ propagates component labels along edges (production searches the graph
 once per topology and caches the result), the eigenvalue oracle runs
 cyclic Jacobi rotations (production calls LAPACK through
 numpy.linalg.eigvalsh), the trajectory oracle steps RK4 in a loop
-(production evaluates the RK4 recurrence in closed form per eigenmode), and
+(production evaluates the RK4 recurrence in closed form per eigenmode), the
+stability oracle evaluates RK4's stability polynomial (production compares
+dt lambda_max with one constant), and
 the file-text oracles format one f-string per cell, row by row (production
 formats each column block with one ``%`` and shares it between writers),
 and the segment oracle, which the trajectory oracle steps through, rounds
@@ -199,6 +201,14 @@ def jacobi_eigenvalues(m, tol=1e-12, max_sweeps=100):
                 a[:, q] = s * cp + c * cq
                 a[p, q] = a[q, p] = 0.0
     raise ArithmeticError("Jacobi eigensolve did not converge")
+
+
+def rk4_unstable(x: float) -> bool:
+    """True iff RK4 amplifies the mode of x = dt * lambda on the real axis,
+    |r(-x)| > 1 with r(z) = 1 + z p(z), evaluated on Python floats."""
+    z = -x
+    p = 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0
+    return abs(1.0 + z * p) > 1.0
 
 
 def grid_segments(s):

@@ -63,6 +63,21 @@ def lost_link_file(tmp_path):
     return str(path)
 
 
+def heavy_edge_file(tmp_path, weight):
+    """Two agents joined by one edge of ``weight``, agent 1 linked to a leader:
+    every weight is finite, and lambda_max of H is about twice ``weight``."""
+    doc = scenario_to_dict(example_one("base")) | {
+        "m": 1, "t_final": 1.0, "dt": 0.1,
+        "agents": [{"id": i, "position": [float(i)]} for i in (1, 2)],
+        "leaders": [{"id": 1, "position": [0.0]}],
+        "topologies": [{"id": 1, "edges": [[1, 2, weight]], "leader_links": [[1, 1, 1.0]]}],
+        "schedule": [{"t": 0.0, "topology": 1}],
+    }
+    path = tmp_path / "heavy_edge.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 @pytest.fixture()
 def short_trajectory(tmp_path):
     path = tmp_path / "traj.csv"
@@ -350,8 +365,13 @@ class TestVerify:
         assert any(label.startswith("topology1_") for label in labels)
         assert any(label.startswith("topology3_") for label in labels)
 
-    def test_negative_random_exits_2(self, tmp_path):
-        assert main(["verify", "lemma1", "--random", "0", "--out", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("trials", ["0", "-1", "x"])
+    def test_negative_random_exits_2(self, tmp_path, capsys, trials):
+        assert main(["verify", "lemma1", "--random", trials, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert err == ("containment verify: error: argument --random: must be a "
+                       f"positive integer, not '{trials}'")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("seed", ["-1", "x"])
     def test_bad_seed_names_its_flag(self, tmp_path, capsys, seed):
@@ -496,6 +516,37 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: agent 2: its summed weights overflow a double\n"
         assert not (tmp_path / "row-stochastic.txt").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--out", "never.csv"],
+        ["verify", "lemma2", "--out", "reports"],
+        ["verify", "theorem1", "--out", "reports"],
+    ], ids=["simulate", "verify-lemma2", "verify-theorem1"])
+    def test_huge_finite_eigenvalue_is_an_unstable_step_exit_3(self, argv, tmp_path,
+                                                               capsys, monkeypatch):
+        # lambda_max = 1e308: the RK4 gate raised OverflowError cubing dt * lambda_max
+        path = heavy_edge_file(tmp_path, 5e307)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--scenario", path]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "unstable" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["heavy_edge.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--out", "never.csv"],
+        ["verify", "lemma1", "--out", "reports"],
+        ["verify", "lemma2", "--out", "reports"],
+        ["verify", "theorem1", "--out", "reports"],
+    ], ids=["simulate", "verify-lemma1", "verify-lemma2", "verify-theorem1"])
+    def test_overflowing_eigenvalue_exits_2(self, argv, tmp_path, capsys, monkeypatch):
+        # lambda_max = 2e308: lemma 1 and 2 once printed nan and failed, and
+        # simulate failed later on non-finite points
+        path = heavy_edge_file(tmp_path, 1e308)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--scenario", path]) == 2
+        assert capsys.readouterr() == ("", "error: an eigenvalue overflows a double\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["heavy_edge.json"]
 
     def test_overflowing_span_exits_3(self, tmp_path, capsys):
         # the horizon from t0 = -1e308 to t_final = 1e308 overflows to inf

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import control_oracle, grid_segments, rk4_loop
+from conftest import control_oracle, grid_segments, rk4_loop, rk4_unstable
 
 from containment.builtin import (
     BUILTIN_SCENARIOS,
@@ -16,6 +16,7 @@ from containment.builtin import (
     switched_demo,
 )
 from containment.dynamics import (
+    _RK4_LIMIT,
     _ROWS,
     _segment,
     Scenario,
@@ -287,6 +288,30 @@ class TestScenarioValidation:
         fixed(SOLO, [[0.0]], SOLO_LEADER, dt=2.78, t_final=2.78)
         with pytest.raises(ScenarioError, match="unstable"):
             fixed(SOLO, [[0.0]], SOLO_LEADER, dt=2.79, t_final=2.79)
+
+    def test_rk4_limit_decides_as_the_stability_polynomial(self):
+        grid = np.linspace(0.0, 5.0, 2_000_001).tolist()
+        assert [not x < _RK4_LIMIT for x in grid] == [rk4_unstable(x) for x in grid]
+
+    def test_rk4_gate_decides_as_the_stability_polynomial_near_the_limit(self):
+        # SOLO has lambda_max = 1 exactly, so dt * lambda_max is dt itself
+        below = np.nextafter(_RK4_LIMIT, 0.0)
+        assert rk4_unstable(_RK4_LIMIT) and not rk4_unstable(below)
+        for dt in (_RK4_LIMIT + np.arange(-2000, 2001) * np.spacing(below)).tolist():
+            if rk4_unstable(dt):
+                with pytest.raises(ScenarioError, match="unstable"):
+                    fixed(SOLO, [[0.0]], SOLO_LEADER, dt=dt, t_final=dt)
+            else:
+                fixed(SOLO, [[0.0]], SOLO_LEADER, dt=dt, t_final=dt)
+
+    @pytest.mark.parametrize("weight, dt", [(1.0, 1e200), (1e10, 1e300)],
+                             ids=["cube-overflows", "product-overflows"])
+    def test_huge_step_is_unstable(self, weight, dt):
+        # at dt * lambda = 1e200, z ** 3 of a Python float raised OverflowError;
+        # at dt * lambda = inf, the polynomial was nan, which passed the gate
+        heavy = Topology(AgentGraph(1), LeaderLinks(1, 1, ((1, 1, weight),)))
+        with pytest.raises(ScenarioError, match="unstable"):
+            fixed(heavy, [[0.0]], SOLO_LEADER, dt=dt, t_final=dt)
 
     def test_zero_mode_is_stable_at_any_dt(self):
         # H = [[0]] has amplification exactly 1, which must not be rejected
