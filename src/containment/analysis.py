@@ -35,6 +35,11 @@ from .graph import (
 from .linalg import sym_eigenvalues
 
 SPECTRAL_TOL = 1e-9
+# eigh's eigenvalues of a symmetric n x n matrix are within a small multiple
+# of n eps lambda_max of the exact ones, so one within _EIG_ROUNDING n
+# lambda_max of 0 counts as zero; a computed zero came within 0.62 n eps
+# lambda_max over 6 000 random graphs and 6 000 random topologies
+_EIG_ROUNDING = 10.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -83,16 +88,17 @@ def write_report(report: VerificationReport, outdir) -> tuple[Path, Path]:
 def check_lemma1(g: AgentGraph) -> VerificationReport:
     """Laplacian spectrum versus component structure.
 
-    An eigenvalue or a row sum counts as zero when it is within
-    ``SPECTRAL_TOL`` times the spectral scale ||L|| (the largest eigenvalue),
-    so the verdict does not depend on the weight scale.
+    An eigenvalue or a row sum counts as zero within eigh's rounding,
+    ``_EIG_ROUNDING`` n times the spectral scale ||L|| (the largest
+    eigenvalue), so the verdict depends on neither the weights' scale nor
+    their spread.
     """
     lap = laplacian(g)
     eigs = sym_eigenvalues(lap)
     comps = g.components
     row_sum = float(np.abs(lap.sum(axis=1)).max())
     scale = float(eigs[-1])
-    zero = SPECTRAL_TOL * scale
+    zero = _EIG_ROUNDING * g.n * scale
     zero_mult = int((np.abs(eigs) <= zero).sum())
     connected = len(comps) == 1
     ok = (
@@ -107,6 +113,7 @@ def check_lemma1(g: AgentGraph) -> VerificationReport:
         ("zero_multiplicity", float(zero_mult)),
         ("component_count", float(len(comps))),
         ("spectral_scale", scale),
+        ("zero_threshold", zero),
     ]
     if g.n >= 2:
         measured.insert(1, ("lambda2", float(eigs[1])))
@@ -115,7 +122,7 @@ def check_lemma1(g: AgentGraph) -> VerificationReport:
         name="lemma1",
         passed=bool(ok),
         measured=tuple(measured),
-        tolerance=SPECTRAL_TOL,
+        tolerance=_EIG_ROUNDING,
         narrative=f"Laplacian spectrum consistent with {word}",
     )
 
@@ -123,14 +130,14 @@ def check_lemma1(g: AgentGraph) -> VerificationReport:
 def check_lemma2(t: Topology) -> VerificationReport:
     """Composite matrix positive definite exactly when leader-connected.
 
-    lambda_min is compared with ``SPECTRAL_TOL`` times the spectral scale
-    ||H|| (the largest eigenvalue), so the verdict does not depend on the
-    weight scale.
+    lambda_min counts as zero within eigh's rounding, ``_EIG_ROUNDING`` n
+    times the spectral scale ||H|| (the largest eigenvalue), so the verdict
+    depends on neither the weights' scale nor their spread.
     """
     eigs = t.spectrum[0]
     lam_min, scale = float(eigs[0]), float(eigs[-1])
     connected = not t.leaderless_components
-    zero = SPECTRAL_TOL * scale
+    zero = _EIG_ROUNDING * t.graph.n * scale
     ok = lam_min > zero if connected else lam_min <= zero
     return VerificationReport(
         name="lemma2",
@@ -140,8 +147,9 @@ def check_lemma2(t: Topology) -> VerificationReport:
             ("leader_connected", 1.0 if connected else 0.0),
             ("component_count", float(len(t.graph.components))),
             ("spectral_scale", scale),
+            ("zero_threshold", zero),
         ),
-        tolerance=SPECTRAL_TOL,
+        tolerance=_EIG_ROUNDING,
         narrative=(
             "composite matrix positive definite as required"
             if connected

@@ -35,7 +35,11 @@ whole real axis, so r^j is exp(j log1p(z p)) and r^j - 1 is expm1 of the
 same exponent, both free of the cancellation in r - 1. ``simulate`` asks
 for every step of each segment; ``terminal_state`` asks for each segment's
 last step only, chaining segment ends, and lands on the same bits as
-``simulate``'s last row.
+``simulate``'s last row. Steps are evaluated in blocks of as many rows as
+``_CELLS`` state cells hold (at least one row), so a block's state-sized
+temporaries hold at most 128 KB, which stays in cache, unless one row alone
+is larger. Each row's arithmetic is its own, so the block size changes no
+bit.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .geometry import LeaderSet, project_points
 from .graph import Topology
 
 GRID_REL_TOL = 1e-6
-_ROWS = 64  # sample rows per block of the closed-form segment tables
+_CELLS = 1 << 14  # state cells per block of the closed-form segment tables
 _RK4_LIMIT = 2.785293563405282
 
 
@@ -232,8 +236,9 @@ def _segment(out: np.ndarray, x0: np.ndarray, steps, lam: np.ndarray,
     y0 = v.T @ x0.reshape(n, m)
     g = v.T @ f
     steps = np.asarray(steps, dtype=float)
-    for i in range(0, len(steps), _ROWS):
-        j = steps[i : i + _ROWS, None]
+    rows = max(1, _CELLS // (n * m))
+    for i in range(0, len(steps), rows):
+        j = steps[i : i + rows, None]
         e = j * log_r
         c = np.where(moving, gain * np.expm1(e), j * dt)
         y = np.exp(e)[:, :, None] * y0 + c[:, :, None] * g

@@ -36,9 +36,13 @@ Wolfe finished run it in one gathered pass, each column on the support it
 ended on. So a point's distance depends only on the point and the support
 that resolved it, not on the stage or on the rest of the batch. A point
 outside the hull ended on the same support in a batch and alone in every
-sample tried; a point inside a hull of more than m + 1 leaders may be
-resolved by any simplex that holds it, so its distance, rounding noise of
-order (eps r)^2, may differ in a batch and alone.
+sample tried. A point inside the hull gets exactly 0, at any stage, when
+its fit has no negative weight on a support flagged full-rank: m + 1
+leaders whose edge matrix has full rank and a condition number of at most
+about _COND, so the weights are within about _COND eps of the exact ones and
+the point lies in the simplex up to rounding. The candidate stage then skips
+the certificate. Gilbert, Johnson and Keerthi's distance algorithm (IEEE J.
+Robotics and Automation 4(2), 1988) stops there too.
 
 One kernel makes every fit, the ones Wolfe steers by included, from the
 pseudo-inverse of the support's edge matrix [v_1 - v_0, ..., v_s - v_0],
@@ -68,6 +72,7 @@ _CERT_TOL = 1e-13  # certificate tolerance relative to r * (r + ||x - c||)
 _HARVEST = 128  # rows, spread evenly over a batch, that Wolfe runs on first
 _MAX_ROUNDS = 500  # Wolfe rounds before the projection is declared stuck
 _FAR = 8.0  # hulls this many radii from the origin are solved about their centroid
+_COND = 1e6  # largest condition estimate of a support flagged full-rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,10 +118,11 @@ class HullProjector:
     reduction runs across rows.
 
     The cache keeps one row per support seen: ``_index[r]`` is its
-    vertices in ascending order, padded with k, and ``_einv[r]`` its
-    pseudo-inverse, zero-padded to a common number of edges; ``_row`` maps a
-    support's packed vertex mask to its row. So the supports of many points
-    are gathered by row, without a loop over them.
+    vertices in ascending order, padded with k, ``_einv[r]`` its
+    pseudo-inverse, zero-padded to a common number of edges, and
+    ``_full[r]`` its full-rank flag; ``_row`` maps a support's packed vertex
+    mask to its row. So the supports of many points are gathered by row,
+    without a loop over them.
     """
 
     def __init__(self, positions: np.ndarray):
@@ -129,6 +135,7 @@ class HullProjector:
         self._row: dict[bytes, int] = {}
         self._einv = np.zeros((0, min(k, m + 1) - 1, m))
         self._index = np.zeros((0, min(k, m + 1)), dtype=np.intp)
+        self._full = np.zeros(0, dtype=bool)
 
     def _rows(self, supp):
         """Cache rows (U,) of the distinct supports among the boolean columns
@@ -146,7 +153,11 @@ class HullProjector:
 
     def _build(self, keys, cols):
         """Cache the supports given by the boolean columns (k, U) of cols, with
-        one stacked ``np.linalg.pinv`` call per support size."""
+        one stacked ``np.linalg.pinv`` call per support size, and flag those
+        of m + 1 leaders full-rank from each edge matrix e and pseudo-inverse
+        p: trace(p e) is the rank of e, and as max|e| <= 2 radius, m^2 times
+        2 radius max|p| bounds its condition number ||e||_2 ||p||_2 without
+        squaring entries that might overflow."""
         sizes = cols.sum(axis=0)
         k, m = self.vertices.shape
         old, new = len(self._index), len(keys)
@@ -155,14 +166,20 @@ class HullProjector:
         einv[:old, :self._einv.shape[1]] = self._einv
         index = np.full((old + new, width + 1), k, dtype=np.intp)
         index[:old, :self._index.shape[1]] = self._index
+        full = np.concatenate([self._full, np.zeros(new, dtype=bool)])
         for size in set(sizes.tolist()):  # np.unique would import numpy.ma
             of = np.flatnonzero(sizes == size)
             idx = np.nonzero(cols[:, of].T)[1].reshape(len(of), size)
             vs = self.vertices[idx]
-            einv[old + of, :size - 1] = np.linalg.pinv((vs[:, 1:] - vs[:, :1]).transpose(0, 2, 1))
+            d = vs[:, 1:] - vs[:, :1]  # the transposed edge matrices
+            einv[old + of, :size - 1] = p = np.linalg.pinv(d.transpose(0, 2, 1))
             index[old + of, :size] = idx
+            if size == m + 1:
+                p, d = p.reshape(len(of), -1), d.reshape(len(of), -1)
+                full[old + of] = ((p * d).sum(axis=1) > m - 0.5) & (
+                    2.0 * self.radius * np.abs(p).max(axis=1) <= _COND)
         self._row.update(zip(keys, range(old, old + new)))
-        self._einv, self._index = einv, index
+        self._einv, self._index, self._full = einv, index, full
 
     def _fit_rows(self, at, x):
         """Vertices (s, m, N) of the supports in cache rows ``at``, and the
@@ -243,34 +260,46 @@ class HullProjector:
         supp[:, cols[back]] = wr[:, back] > 0.0
         refit[cols[~back]] = False
 
-    def _accept(self, row: int, pt, cols):
-        """Positions in ``cols`` of the columns of pt that the fit on the
-        support in cache row ``row`` resolves, and their half squared
-        distances."""
+    def _accept(self, row: int, pt, cols, sq):
+        """Set sq at the columns ``cols`` of pt that the fit on the support in
+        cache row ``row`` resolves, and return the others: 0 where the fit
+        has no negative weight on a full-rank support, else the distance the
+        certificate accepts."""
         s = np.count_nonzero(self._index[row] < len(self.vertices))
         verts = self.vertices[self._index[row, :s], :, None]
         # columns by take: indexing [:, cols] copies them several times slower
         gamma = _fit(self._einv[row, :s - 1, :, None], pt.take(cols, axis=1) - verts[0])
-        fit = np.flatnonzero((gamma >= -_FEAS_TOL).all(axis=0))
+        low = gamma.min(axis=0)
+        zero = 0.0 if self._full[row] else np.inf
+        inside = np.flatnonzero(low >= zero)
+        sq[cols[inside]] = 0.0
+        fit = np.flatnonzero((low >= -_FEAS_TOL) & (low < zero))
         gamma = gamma.take(fit, axis=1)
         c = _combine(verts, gamma)
-        del gamma  # a large batch peaks in the certificate below
+        del gamma, low  # a large batch peaks in the certificate below
         g = pt.take(cols[fit], axis=1) - c
         gg = _sq_norm(g)
         ok = self._gap(g, c).max(axis=0) <= self._tol(gg)
-        return fit[ok], 0.5 * gg[ok]
+        fit = fit[ok]
+        sq[cols[fit]] = 0.5 * gg[ok]
+        rest = np.ones(cols.size, dtype=bool)
+        rest[inside] = rest[fit] = False
+        return cols[rest]
 
     def _resolve(self, pt, cols, sq):
         """Set sq at the columns ``cols`` of pt by Wolfe: each point's distance
         comes from the fit on the support it ends on, by the kernel the
-        candidate stage uses, in one pass. Return the cache rows of those
-        supports, most frequent first."""
+        candidate stage uses, in one pass, and is 0 inside a full-rank one.
+        Return the cache rows of those supports, most frequent first."""
         rows, group, counts = self._rows(self.wolfe(pt.take(cols, axis=1)))
         # sorted before the gather: a small batch would peak in argsort
         frequent = rows[np.argsort(-counts, kind="stable")].tolist()
         x = pt.take(cols, axis=1)  # not held through _rows, where small batches peak
-        g = x - _combine(*self._fit_rows(rows[group], x))
-        sq[cols] = 0.5 * _sq_norm(g)
+        at = rows[group]
+        verts, gamma = self._fit_rows(at, x)
+        d = 0.5 * _sq_norm(x - _combine(verts, gamma))
+        d[self._full[at] & (gamma >= 0.0).all(axis=0)] = 0.0
+        sq[cols] = d
         return frequent
 
     def sq_dist(self, p):
@@ -286,9 +315,7 @@ class HullProjector:
             return sq
         todo = np.delete(np.arange(n), harvest)
         for row in candidates:
-            ok, d = self._accept(row, pt, todo)
-            sq[todo[ok]] = d
-            todo = np.delete(todo, ok)
+            todo = self._accept(row, pt, todo, sq)
             if not todo.size:
                 return sq
         self._resolve(pt, todo, sq)

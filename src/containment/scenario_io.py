@@ -7,8 +7,9 @@ enough to verify 1e-6-level properties downstream, and are written
 deterministically so repeated runs are byte-identical. A trajectory is
 formatted once, row-major, per block of rows and group (times, an agent,
 d_xi, topology), into space-separated text both writers share. The CSV joins
-a block's groups row by row with commas; the plot file joins the time lines,
-split once per block, to each agent's rows and writes path blocks as they are.
+a block's groups row by row with commas; the plot file slots each agent's
+lines into one list of the block's time lines and separators, joined once,
+and writes path blocks as they are.
 """
 
 from __future__ import annotations
@@ -345,10 +346,20 @@ def write_plot_data(traj: Trajectory, path, leaders: LeaderSet | None = None) ->
     if leaders is not None and leaders.m != traj.m:
         raise ValueError("leader dimension does not match the trajectory")
     p = _out_path(path)
-    times = [b.split("\n") for b in _group(traj, "times")]
+    lines = []  # per block: t, " ", agent line, "\n", ... without the last "\n"
+    for t in _group(traj, "times"):
+        t = t.split("\n")
+        line = [" "] * (4 * len(t) - 1)
+        line[::4], line[3::4] = t, ["\n"] * (len(t) - 1)
+        lines.append(line)
+
+    def series(rows):  # a block is joined as soon as its slots are filled
+        for line, b in zip(lines, rows):
+            line[2::4] = b.split("\n")
+            yield "".join(line)
+
     agents = [_group(traj, i) for i in range(traj.n)]
-    blocks = [(f"# agent {i} time series: t coordinates",
-               ("\n".join(map(" ".join, zip(t, b.split("\n")))) for t, b in zip(times, rows)))
+    blocks = [(f"# agent {i} time series: t coordinates", series(rows))
               for i, rows in enumerate(agents, 1)]
     if leaders is not None:
         table = np.column_stack([np.arange(1, leaders.k + 1), leaders.positions])

@@ -85,6 +85,34 @@ class TestLemma2:
         assert rep.value("lambda_min") <= 1e-9
 
 
+class TestIllConditioned:
+    # leader-connected topologies whose weights span ten decades: a zero
+    # threshold of 1e-9 lambda_max (about 20) called lambda_min = 0.5 and
+    # lambda2 = 1.5 zero, failing both lemmas; eigh's rounding is ~1e-5 here
+    def test_lemma1_weak_edge_is_connected(self):
+        rep = check_lemma1(AgentGraph(3, ((1, 2, 1e10), (2, 3, 1.0))))
+        assert rep.passed
+        assert rep.value("lambda2") == pytest.approx(1.5, abs=1e-3)
+        assert rep.value("zero_multiplicity") == 1
+        assert 0.0 < rep.value("zero_threshold") <= 1e-3
+
+    def test_lemma2_stiff_edge_is_positive_definite(self):
+        t = Topology(AgentGraph(2, ((1, 2, 1e10),)), LeaderLinks(2, 1, ((1, 1, 1.0),)))
+        rep = check_lemma2(t)
+        assert rep.passed
+        assert rep.value("lambda_min") == pytest.approx(0.5, abs=1e-3)
+        assert 0.0 < rep.value("zero_threshold") <= 1e-3
+
+    @pytest.mark.parametrize("check", [check_lemma1, check_lemma2])
+    def test_threshold_is_eigh_rounding(self, check):
+        # ten times n eps lambda_max, reported with the spectral scale
+        rep = check(path(3) if check is check_lemma1
+                    else Topology(path(3), LeaderLinks(3, 1, ((1, 1, 1.0),))))
+        eps = np.finfo(float).eps
+        assert rep.value("zero_threshold") == 10.0 * eps * 3 * rep.value("spectral_scale")
+        assert rep.tolerance == 10.0 * eps
+
+
 def scaled_topology(t, c):
     """The topology with every edge and leader-link weight multiplied by c."""
     return Topology(
@@ -206,10 +234,9 @@ class TestTheorem1:
                 if label not in ("passed", "final_d_xi"):
                     assert rep.value(label) == value, (trial, label)
             # the lone final state and the trajectory batch share one fit
-            # kernel, so they agree bit for bit unless both are interior
-            # rounding noise, which another simplex holding the point may give
-            got, d = rep.value("final_d_xi"), want["final_d_xi"]
-            assert got == d or max(got, d) < 1e-28, (trial, got, d)
+            # kernel, and an interior point is at distance exactly 0 whichever
+            # simplex holds it, so they agree bit for bit
+            assert rep.value("final_d_xi") == want["final_d_xi"], trial
 
 
 class TestTheorem2:

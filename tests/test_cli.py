@@ -533,6 +533,19 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "unstable" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["heavy_edge.json"]
 
+    @pytest.mark.parametrize("check", ["lemma1", "lemma2"])
+    def test_ill_conditioned_connected_topology_passes_the_lemmas(self, check, tmp_path):
+        # edges 1e10 and 1: lambda2 of L is 1.5, lambda_min of H about 0.3,
+        # against lambda_max = 2e10; both lemmas once failed, exit 1
+        doc = json.loads(Path(heavy_edge_file(tmp_path, 1e10)).read_text()) | {
+            "dt": 1e-10, "t_final": 1e-10,
+            "agents": [{"id": i, "position": [float(i)]} for i in (1, 2, 3)]}
+        doc["topologies"][0]["edges"].append([2, 3, 1.0])
+        path = tmp_path / "weak_edge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", check, "--scenario", str(path),
+                     "--out", str(tmp_path / "reports")]) == 0
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--out", "never.csv"],
         ["verify", "lemma1", "--out", "reports"],

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import control_oracle, grid_segments, rk4_loop, rk4_unstable
 
+from containment import dynamics
 from containment.builtin import (
     BUILTIN_SCENARIOS,
     builtin_scenario,
@@ -17,7 +18,6 @@ from containment.builtin import (
 )
 from containment.dynamics import (
     _RK4_LIMIT,
-    _ROWS,
     _segment,
     Scenario,
     ScenarioError,
@@ -130,11 +130,23 @@ class TestStep:
         assert 10.0 <= err_coarse / err_fine <= 25.0
 
 
+ROWS = 64  # rows per closed-form block in the tests that cross blocks
+
+
+@pytest.fixture()
+def block_rows(monkeypatch):
+    """Give ``_segment`` blocks of ``rows`` rows on states of ``cells``
+    cells, through the state-cell budget ``_CELLS``."""
+    def set_rows(cells, rows=ROWS):
+        monkeypatch.setattr(dynamics, "_CELLS", rows * cells)
+    return set_rows
+
+
 def chained_scenario():
-    """Segments of 1, _ROWS and _ROWS + 1 steps, each starting where the
-    previous one ended."""
+    """Segments of 1, ROWS and ROWS + 1 steps, each starting where the
+    previous one ended, on states of 5 cells."""
     dt = 0.01
-    starts = (0, 1, 1 + _ROWS)
+    starts = (0, 1, 1 + ROWS)
     return Scenario(
         m=1,
         x_init=[[5.0], [5.5], [6.0], [7.0], [6.5]],
@@ -143,7 +155,7 @@ def chained_scenario():
                     (2, example_one_topology("relay-5"))),
         schedule=SwitchingSchedule(tuple((a * dt, 1 + i % 2) for i, a in enumerate(starts))),
         dt=dt,
-        t_final=(2 * _ROWS + 2) * dt,
+        t_final=(2 * ROWS + 2) * dt,
     )
 
 
@@ -171,14 +183,16 @@ class TestClosedForm:
     def test_switched_scenarios_match_loop(self, seed):
         assert_matches_loop(random_switched_scenario(rng_for(seed)))
 
-    @pytest.mark.parametrize("steps", [1, _ROWS, _ROWS + 1])
-    def test_segment_lengths_match_loop(self, steps):
+    @pytest.mark.parametrize("steps", [1, ROWS, ROWS + 1])
+    def test_segment_lengths_match_loop(self, steps, block_rows):
+        block_rows(5)
         x0 = [[5.0], [5.5], [6.0], [7.0], [6.5]]
         leaders = LeaderSet(((1.0,), (2.0,)))
         assert_matches_loop(fixed(example_one_topology("base"), x0, leaders,
                                   dt=0.01, t_final=steps * 0.01))
 
-    def test_chained_segments_match_loop(self):
+    def test_chained_segments_match_loop(self, block_rows):
+        block_rows(5)
         assert_matches_loop(chained_scenario())
 
     def test_exact_zero_mode_holds_still(self):
@@ -189,16 +203,18 @@ class TestClosedForm:
         np.testing.assert_array_equal(simulate(s).states, 3.0)
         np.testing.assert_array_equal(terminal_state(s), s.x_init)
 
-    def test_zero_mode_recurrence_is_linear_in_steps(self):
+    def test_zero_mode_recurrence_is_linear_in_steps(self, block_rows):
         # RK4 on x' = g with H = 0 gives x_j = x_0 + j dt g, the zp -> 0 limit
-        steps = np.arange(1, _ROWS + 2)
+        block_rows(1)
+        steps = np.arange(1, ROWS + 2)
         out = np.empty((len(steps), 1))
         _segment(out, np.array([3.0]), steps, np.zeros(1), np.eye(1),
                  np.array([[0.5]]), 0.25)
         np.testing.assert_allclose(out[:, 0], 3.0 + 0.125 * steps, rtol=0, atol=1e-12)
 
-    def test_sparse_steps_match_full_evaluation(self):
-        # the chosen steps fall in different _ROWS blocks of the full evaluation
+    def test_sparse_steps_match_full_evaluation(self, block_rows):
+        # the chosen steps fall in different ROWS blocks of the full evaluation
+        block_rows(10)
         topo = example_one_topology("base")
         lam, v = topo.spectrum
         f = topo.link_weights @ np.array([[1.0, 0.0], [2.0, 1.0]])
@@ -209,9 +225,35 @@ class TestClosedForm:
             _segment(out, x0, steps, lam, v, f, 0.01)
             return out
 
-        chosen = np.array([1, _ROWS, _ROWS + 1, 3 * _ROWS])
-        full = evaluate(np.arange(1, 3 * _ROWS + 1))
+        chosen = np.array([1, ROWS, ROWS + 1, 3 * ROWS])
+        full = evaluate(np.arange(1, 3 * ROWS + 1))
         np.testing.assert_array_equal(evaluate(chosen), full[chosen - 1])
+
+    @pytest.mark.parametrize("cells,budget,blocks", [
+        (5, 5 * ROWS + 4, [ROWS, ROWS, 1]),
+        (5, 4, [1] * (2 * ROWS + 1)),
+        (10, 1 << 16, [2 * ROWS + 1]),
+    ], ids=["rows-of-the-budget", "one-row-below-it", "whole-segment"])
+    def test_blocks_take_the_rows_the_cells_budget_holds(self, cells, budget, blocks,
+                                                         monkeypatch):
+        # each block takes one expm1 of its (rows, n) exponents; a budget
+        # below one row's cells still gives blocks of one row
+        monkeypatch.setattr(dynamics, "_CELLS", budget)
+        seen = []
+        expm1 = np.expm1
+        monkeypatch.setattr(np, "expm1", lambda e: seen.append(len(e)) or expm1(e))
+        out = np.empty((2 * ROWS + 1, cells))
+        _segment(out, np.zeros(cells), np.arange(1, 2 * ROWS + 2), np.ones(cells),
+                 np.eye(cells), np.ones((cells, 1)), 0.01)
+        assert seen == blocks
+
+    @pytest.mark.parametrize("name", ["example2", "switched"])
+    def test_block_size_changes_no_bit(self, name, block_rows):
+        s = builtin_scenario(name)
+        want = simulate(s).states
+        for rows in (1, ROWS, s.step_count):
+            block_rows(s.n * s.m, rows)
+            np.testing.assert_array_equal(simulate(s).states, want)
 
 
 class TestTerminalState:
@@ -226,7 +268,8 @@ class TestTerminalState:
     def test_builtins(self, name):
         self.assert_matches_simulate(builtin_scenario(name))
 
-    def test_chained_segments(self):
+    def test_chained_segments(self, block_rows):
+        block_rows(5)
         self.assert_matches_simulate(chained_scenario())
 
     @given(seed=st.integers(0, 10**6), connected=st.booleans())
@@ -529,5 +572,5 @@ class TestSegments:
         assert_segments_tile_the_grid(random_switched_scenario(rng_for(seed)))
 
     def test_chained_segments(self):
-        assert chained_scenario().segments == ((0, 1, 1), (1, 1 + _ROWS, 2),
-                                               (1 + _ROWS, 2 * _ROWS + 2, 1))
+        assert chained_scenario().segments == ((0, 1, 1), (1, 1 + ROWS, 2),
+                                               (1 + ROWS, 2 * ROWS + 2, 1))

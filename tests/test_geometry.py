@@ -19,6 +19,7 @@ from conftest import (
 )
 
 import containment
+from containment import geometry
 from containment.builtin import example_two
 from containment.dynamics import Scenario, SwitchingSchedule, simulate
 from containment.geometry import (
@@ -250,6 +251,117 @@ def swarm_points(seed):
     return simulate(s).states.reshape(-1, m), leaders
 
 
+def batch_case(case):
+    """Points and leaders: example 2's trajectory, a large-swarm trajectory
+    (``swarm<seed>``, seed 3 for ``swarm``), or 3 000 uniform points around
+    a random hull of ``hull<k>`` leaders, in 2-D for k = 7 and 3-D
+    otherwise."""
+    if case == "example2":
+        s = example_two()
+        return simulate(s).states.reshape(-1, 2), s.leaders
+    if case.startswith("swarm"):
+        return swarm_points(int(case[5:] or 3))
+    k = int(case[4:])
+    m = 2 if k == 7 else 3
+    rng = rng_for(k, m)
+    leaders = LeaderSet(rng.uniform(-3.0, 3.0, size=(k, m)))
+    return rng.uniform(-4.0, 4.0, size=(3000, m)), leaders
+
+
+class TestExactZero:
+    """A point inside a simplex of m + 1 affinely independent leaders, whose
+    fit has no negative weight, is at distance exactly 0, from every stage."""
+
+    @staticmethod
+    def wolfe_batches(monkeypatch):
+        calls = []
+        wolfe = HullProjector.wolfe
+        monkeypatch.setattr(HullProjector, "wolfe",
+                            lambda self, pt: calls.append(pt.shape[1]) or wolfe(self, pt))
+        return calls
+
+    def test_harvest_only_batch(self, monkeypatch):
+        calls = self.wolfe_batches(monkeypatch)
+        pts = rng_for(30).dirichlet(np.ones(3), size=20) @ TRIANGLE.positions
+        got = project_points(pts, LeaderSet(TRIANGLE.positions))
+        assert calls == [20]
+        assert got.tolist() == [0.0] * 20
+
+    def test_candidate_stage(self, monkeypatch):
+        # every row but the harvested ones is resolved by the harvest's support
+        calls = self.wolfe_batches(monkeypatch)
+        pts = rng_for(31).dirichlet(np.ones(3), size=_HARVEST + 1) @ TRIANGLE.positions
+        got = project_points(pts, LeaderSet(TRIANGLE.positions))
+        assert calls == [_HARVEST]
+        assert got.tolist() == [0.0] * (_HARVEST + 1)
+
+    def test_point_wolfe_finishes(self, monkeypatch):
+        # in the unit square, the harvested point lies only in triangles on
+        # corner (1, 0), the last one only in triangles on corner (0, 1): no
+        # harvested support holds it, so Wolfe finishes it
+        calls = self.wolfe_batches(monkeypatch)
+        pts = np.array([[0.8, 0.1]] * _HARVEST + [[0.2, 0.9]])
+        got = project_points(pts, LeaderSet(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))))
+        assert calls == [_HARVEST, 1]
+        assert got.tolist() == [0.0] * (_HARVEST + 1)
+
+    @pytest.mark.parametrize("c", [1e-160, 1e150])
+    def test_tiny_and_huge_hulls(self, c):
+        # the flag's condition estimate takes no square of the edges or of
+        # the pseudo-inverse, whose entries are about 1/c: it cannot overflow
+        pts = c * np.array([[1.3, 1.6], [0.0, 0.0], [1.2, 1.9]])
+        got = project_points(pts, LeaderSet(c * TRIANGLE.positions))
+        assert got[[0, 2]].tolist() == [0.0, 0.0]
+        assert got[1] == pytest.approx(c * c)
+
+    @pytest.mark.parametrize("leaders,x,want", [
+        # 4 coplanar leaders in 3-D; x is 0.5 above the plane z = 0
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]],
+         [0.4, 0.4, 0.5], 0.125),
+        # 3 collinear leaders in 2-D; x is 1 off their line y = 0
+        ([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]], [0.5, 1.0], 0.5),
+    ], ids=["coplanar", "collinear"])
+    def test_dependent_support_is_not_full_rank(self, leaders, x, want):
+        # the fit on the dependent support is a least-squares one: its
+        # weights are >= 0 at the off-span x, which is not in the hull
+        proj = HullProjector(np.array(leaders))
+        rows, _, _ = proj._rows(np.ones((len(leaders), 1), dtype=bool))
+        assert not proj._full[rows].any()
+        sq = np.full(1, np.nan)
+        assert proj._accept(rows[0], np.array(x)[:, None], np.arange(1), sq).size == 0
+        assert sq[0] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_near_degenerate_simplex_is_not_full_rank(self, m):
+        # the last leader is 1e-9 off the facet of the others: cond ~ 1e9
+        rng = rng_for(32, m)
+        base = np.vstack([np.zeros(m - 1), np.eye(m - 1)])
+        top = np.append(rng.dirichlet(np.ones(m)) @ base, 1e-9)
+        leaders = LeaderSet(np.vstack([np.column_stack([base, np.zeros(m)]), top]))
+        proj = leaders.projector
+        rows, _, _ = proj._rows(np.ones((m + 1, 1), dtype=bool))
+        assert not proj._full[rows].any()
+        inside = rng.dirichlet(np.ones(m + 1), size=50) @ leaders.positions
+        outside = inside + np.append(np.zeros(m - 1), 1e-6)
+        got = project_points(np.vstack([inside, outside]), leaders)
+        assert got[50:].min() > 0.0
+        assert_batch_matches_oracle(np.vstack([inside, outside]), leaders)
+
+    @pytest.mark.parametrize("case", ["example2", "swarm1", "swarm2", "swarm3", "swarm4",
+                                      "swarm5", "hull7", "hull12", "hull30"])
+    def test_only_interior_noise_moves(self, case, monkeypatch):
+        # with no support flagged, every distance is the certificate stage's;
+        # the flag may turn only interior rounding noise into 0
+        pts, leaders = batch_case(case)
+        got = project_points(pts, LeaderSet(leaders.positions))
+        monkeypatch.setattr(geometry, "_COND", 0.0)
+        want = project_points(pts, LeaderSet(leaders.positions))
+        moved = got != want
+        assert (got[moved] == 0.0).all()
+        assert want[moved].max(initial=0.0) <= 1e-28
+        assert (got == 0.0).sum() > 0
+
+
 class TestProjector:
     def test_swarm_trajectory_matches_batch_oracle(self):
         pts, leaders = swarm_points(3)
@@ -376,16 +488,17 @@ class TestProjector:
         assert {row % workloads.SWARM_N for row in harvested[0]} == set(range(workloads.SWARM_N))
 
 
-    @pytest.mark.parametrize("case", ["example2", "swarm"])
+    @pytest.mark.parametrize("case", ["example2", "swarm", "swarm5", "hull7", "hull12",
+                                      "hull30"])
     def test_distance_does_not_depend_on_its_batch(self, case):
         # every returned distance comes from one elementwise fit kernel; fits
         # through BLAS gave about half of example 2's rows and a quarter of
-        # the swarm's other last bits alone than in the full batch
-        if case == "example2":
-            s = example_two()
-            pts, leaders = simulate(s).states.reshape(-1, 2), s.leaders
-        else:
-            pts, leaders = swarm_points(3)
+        # the swarm's other last bits alone than in the full batch. Inside a
+        # hull of more than m + 1 leaders, the simplex that resolves a point
+        # may differ alone and in a batch: without the exact zero, 350, 55
+        # and 406 of 3 000 points around these 7-, 12- and 30-leader hulls,
+        # and 30 of 3 000 swarm5 rows, kept rounding noise that differed
+        pts, leaders = batch_case(case)
         batch = project_points(pts, leaders)
         rows = rng_for(24).choice(len(pts), size=400, replace=False)
         alone = np.array([project_points(pts[[r]], LeaderSet(leaders.positions))[0]
